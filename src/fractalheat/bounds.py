@@ -32,6 +32,7 @@ from .kernels import KernelCache, KernelError, SpectralKernel, default_cache
 from .subordinators import SubordinatorSpec
 
 CLAMP = 1e-14  # ratio statistics only; raw kernel values are never clamped
+PLOT_PAIRS = 50  # folded-graph pairs a report samples at each of its times
 
 
 class BoundError(ValueError):
@@ -205,6 +206,9 @@ class BoundReport:
     fitted_c: float | None = None
     fit_r2: float | None = None
     extras: dict = field(default_factory=dict)
+    # (t, i, j, kernel, form, ratio) at seeded folded-graph pairs (i, j); the
+    # ratio is the clamped value the min/max above runs over
+    samples: list[tuple] = field(default_factory=list)
 
     @property
     def spread(self) -> float:
@@ -468,21 +472,39 @@ def log_time_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(lo), math.log(hi), n))
 
 
+def _plot_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (i, j) folded-graph pairs for a report's plot samples, drawn
+    from a generator no statistic consumes, and their flat indices."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(min(PLOT_PAIRS, n), 2))
+    return pairs, pairs[:, 0] * n + pairs[:, 1]
+
+
+def _samples(t, pairs, pos, kernel, form, ratio) -> list[tuple]:
+    """(t, i, j, kernel, form, ratio) rows at ``pairs``; ``pos`` locates each
+    pair in the flattened arrays."""
+    picked = (np.ravel(a)[pos] for a in (kernel, form, ratio))
+    return [
+        (float(t), int(i), int(j), float(k), float(f), float(q))
+        for (i, j), k, f, q in zip(pairs, *picked)
+    ]
+
+
 def _ratio_stats_over_times(
     study: ReflectionStudy,
     spec: SubordinatorSpec | None,
     times,
-    numerator: str,
     denominator: str,
+    pairs: np.ndarray,
+    pos: np.ndarray,
 ):
-    """Global min/max of a ratio over (t, all folded pairs), streamed per t."""
+    """Global min/max of folded/denominator over (t, all folded pairs),
+    streamed per t, with the plot samples at ``pairs``."""
     gmin, gmax = np.inf, -np.inf
+    samples: list[tuple] = []
     lmd = float(study.system.L) ** (study.M * study.system.hausdorff_dim)
     for t in times:
-        if numerator == "folded":
-            num = study.folded_matrix(t, spec)
-        else:
-            raise BoundError(numerator)
+        num = study.folded_matrix(t, spec)
         if denominator == "free":
             den = study.free_matrix(t, spec)
         elif denominator == "flat":
@@ -492,7 +514,8 @@ def _ratio_stats_over_times(
         ratio = np.maximum(num, CLAMP) / np.maximum(den, CLAMP)
         gmin = min(gmin, float(ratio.min()))
         gmax = max(gmax, float(ratio.max()))
-    return gmin, gmax
+        samples += _samples(t, pairs, pos, num, den, ratio)
+    return gmin, gmax, samples
 
 
 def stable_comparison_reports(
@@ -516,6 +539,7 @@ def stable_comparison_reports(
     system = study.system
     lf = float(system.L)
     crossover = lf ** (alpha * study.M * system.walk_dim)
+    pairs, pos = _plot_pairs(len(study.sub_indices), seed)
     near_times = log_time_grid(t_min, crossover * 0.98, n_times)
     flat_times = log_time_grid(crossover, crossover * flat_span, n_times)
 
@@ -528,7 +552,9 @@ def stable_comparison_reports(
             f"increase the window level beyond {study.window}"
         )
 
-    near_min, near_max = _ratio_stats_over_times(study, spec, near_times, "folded", "free")
+    near_min, near_max, near_samples = _ratio_stats_over_times(
+        study, spec, near_times, "free", pairs, pos
+    )
     near = BoundReport(
         claim=f"stable-near[alpha={alpha:g},M={study.M},n={study.depth}]",
         regime="near",
@@ -537,8 +563,11 @@ def stable_comparison_reports(
         max_ratio=near_max,
         threshold=spread_threshold,
         extras={"truncation_bracket": bracket, "crossover": crossover},
+        samples=near_samples,
     )
-    flat_min, flat_max = _ratio_stats_over_times(study, spec, flat_times, "folded", "flat")
+    flat_min, flat_max, flat_samples = _ratio_stats_over_times(
+        study, spec, flat_times, "flat", pairs, pos
+    )
     flat = BoundReport(
         claim=f"stable-flat[alpha={alpha:g},M={study.M},n={study.depth}]",
         regime="flat",
@@ -547,6 +576,7 @@ def stable_comparison_reports(
         max_ratio=flat_max,
         threshold=spread_threshold,
         extras={"crossover": crossover},
+        samples=flat_samples,
     )
     return {"near": near, "flat": flat}
 
@@ -578,9 +608,12 @@ def relativistic_comparison_reports(
     crossover = lf ** (study.M * system.walk_dim)
     n_pairs = len(study.sub_indices)
     grid_note = f"{n_times} times x {n_pairs}^2 pairs"
+    pairs, pos = _plot_pairs(n_pairs, seed)
 
     flat_times = log_time_grid(crossover, crossover * flat_span, n_times)
-    flat_min, flat_max = _ratio_stats_over_times(study, spec, flat_times, "folded", "flat")
+    flat_min, flat_max, flat_samples = _ratio_stats_over_times(
+        study, spec, flat_times, "flat", pairs, pos
+    )
     reports = {
         "flat": BoundReport(
             claim=f"relativistic-flat[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
@@ -590,16 +623,21 @@ def relativistic_comparison_reports(
             max_ratio=flat_max,
             threshold=spread_threshold,
             extras={"crossover": crossover},
+            samples=flat_samples,
         )
     }
 
     # pointwise lower domination: free <= folded + tol below the crossover
     dom_times = log_time_grid(t_min, crossover * 0.98, n_times)
     worst_violation = -np.inf
+    dom_samples: list[tuple] = []
     for t in dom_times:
         folded = study.folded_matrix(t, spec)
         free = study.free_matrix(t, spec)
         worst_violation = max(worst_violation, float((free - folded).max()))
+        k, f = folded.ravel()[pos], free.ravel()[pos]
+        ratio = np.maximum(k, CLAMP) / np.maximum(f, CLAMP)
+        dom_samples += _samples(t, pairs, slice(None), k, f, ratio)
     reports["domination"] = BoundReport(
         claim=f"relativistic-domination[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
         regime="domination",
@@ -608,6 +646,7 @@ def relativistic_comparison_reports(
         max_ratio=1.0 if worst_violation <= domination_tol else np.inf,
         threshold=spread_threshold,
         extras={"max_violation": worst_violation, "tolerance": domination_tol},
+        samples=dom_samples,
     )
 
     dist = study.metric(metric)
@@ -645,16 +684,23 @@ def relativistic_comparison_reports(
                 fitted_form = form.with_constant(fit_report.fitted_c)
             fit_extras["fit_slope_lsq"] = fit_report.extras.get("fit_slope_lsq")
             fit_extras["fit_r2"] = fit_report.fit_r2
-        # pass 2: full-grid ratio against the (fitted) form
+        # pass 2: full-grid ratio against the (fitted) form; the plot pairs
+        # inside the mask, located among the masked entries
+        if mask is None:
+            inside, where = pairs, pos
+        else:
+            keep = mask.ravel()[pos]
+            inside, where = pairs[keep], (np.cumsum(mask) - 1)[pos[keep]]
+        samples: list[tuple] = []
         for t in times:
             folded = study.folded_matrix(t, spec)
             vals = folded[mask] if mask is not None else folded.ravel()
             rs = dist[mask] if mask is not None else dist.ravel()
-            ratio = np.maximum(vals, CLAMP) / fitted_form.evaluate(
-                np.full_like(rs, t), rs
-            )
+            shape = fitted_form.evaluate(np.full_like(rs, t), rs)
+            ratio = np.maximum(vals, CLAMP) / shape
             gmin = min(gmin, float(ratio.min()))
             gmax = max(gmax, float(ratio.max()))
+            samples += _samples(t, inside, where, vals, shape, ratio)
         return BoundReport(
             claim=f"relativistic-{name}[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
             regime=name,
@@ -664,6 +710,7 @@ def relativistic_comparison_reports(
             threshold=spread_threshold,
             fitted_c=None if fitted_form is form else fitted_form.c,
             extras=fit_extras,
+            samples=samples,
         )
 
     if crossover > 1.0:

@@ -5,8 +5,7 @@ report.  Exit codes: 0 all claims pass, 1 a claim failed, 2 configuration or
 runtime error.
 
 BLAS thread pools are pinned to one thread before numpy loads so that runs
-are bit-identical at any ``--threads`` setting; ``--threads`` parallelizes
-only over independent time-grid entries.
+are bit-identical whatever the core count.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config (INI)")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None, help="time-grid parallelism")
         p.add_argument(
             "--stage",
             default=None,
@@ -85,9 +83,7 @@ def main(argv=None) -> int:
             print(report.summary())
             return 0 if report.ok else 1
 
-        config = load_run_config(
-            args.config, out_override=args.out, threads_override=args.threads
-        )
+        config = load_run_config(args.config, out_override=args.out)
         stage = args.stage or _SUBCOMMAND_STAGE[args.command]
         from .pipeline import run_pipeline
 

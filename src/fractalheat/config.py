@@ -126,7 +126,6 @@ class RunConfig:
     n: int = 5
     window: int = 2
     seed: int = 20240801
-    threads: int = 1
     out_dir: Path = Path("out")
     subordinators: list[SubordinatorSpec] = field(default_factory=list)
     n_times: int = 12
@@ -154,8 +153,6 @@ class RunConfig:
             )
         if self.spread_threshold <= 1 or self.stability_threshold <= 0:
             raise ConfigError("thresholds must exceed 1 (spread) and 0 (stability)")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if not self.subordinators:
             raise ConfigError("at least one subordinator spec required")
         if self.metric not in ("geodesic", "euclidean"):
@@ -164,7 +161,7 @@ class RunConfig:
             raise ConfigError("t_min must be positive")
 
 
-def load_run_config(path: str | Path, out_override=None, threads_override=None) -> RunConfig:
+def load_run_config(path: str | Path, out_override=None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"run config not found: {path}")
@@ -204,7 +201,6 @@ def load_run_config(path: str | Path, out_override=None, threads_override=None) 
         n=_get(run, "n", int, 5),
         window=_get(run, "window", int, 2),
         seed=_get(run, "seed", int, 20240801),
-        threads=threads_override or _get(run, "threads", int, 1),
         out_dir=Path(out_override or run.get("out", "out")),
         subordinators=subs,
         n_times=_get(grids, "n_times", int, 12),

@@ -155,18 +155,27 @@ class SpectralKernel:
         return float(np.abs(self.row_mass(t, exponent) - 1.0).max())
 
 
-def spectral_decompose(gen: Generator) -> SpectralKernel:
-    """Full symmetric eigendecomposition of a conservative generator."""
-    mu = gen.graph.measure
+def _symmetric_eigh(q: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rates ``lambda`` (ascending) and counting-measure orthonormal
+    eigenvectors of the generator ``q``, symmetrized against ``mu``.
+
+    Both come back C-contiguous, as a cache load returns them, so a run
+    that decomposes and a run that reads the cache compute identical bytes.
+    """
     s = np.sqrt(mu)
-    sym = gen.matrix * np.outer(s, 1.0 / s)
+    sym = q * np.outer(s, 1.0 / s)
     sym = (sym + sym.T) / 2.0
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise KernelError(f"eigendecomposition failed: {exc}") from exc
-    lam = -w[::-1]
-    psi = v[:, ::-1]
+    return -w[::-1], np.ascontiguousarray(v[:, ::-1])
+
+
+def spectral_decompose(gen: Generator) -> SpectralKernel:
+    """Full symmetric eigendecomposition of a conservative generator."""
+    mu = gen.graph.measure
+    lam, psi = _symmetric_eigh(gen.matrix, mu)
     scale = max(abs(float(lam[0])), abs(float(lam[-1])), 1.0)
     if abs(lam[0]) > 1e-8 * scale:
         raise KernelError(
@@ -174,7 +183,7 @@ def spectral_decompose(gen: Generator) -> SpectralKernel:
         )
     lam[0] = 0.0
     # pin the constant eigenvector exactly; it is known in closed form
-    psi[:, 0] = s / np.sqrt(mu.sum())
+    psi[:, 0] = np.sqrt(mu) / np.sqrt(mu.sum())
     np.clip(lam, 0.0, None, out=lam)
     return SpectralKernel(
         graph=gen.graph, eigenvalues=lam, psi=psi, mu=mu, conservative=True
@@ -275,14 +284,8 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
     gen = build_generator(graph)
     corners = graph.corner_indices()
     keep = np.array([i for i in range(graph.n_vertices) if i not in set(corners)])
-    q = gen.matrix[np.ix_(keep, keep)]
     mu = graph.measure[keep]
-    s = np.sqrt(mu)
-    sym = q * np.outer(s, 1.0 / s)
-    sym = (sym + sym.T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    lam = -w[::-1]
-    psi = v[:, ::-1]
+    lam, psi = _symmetric_eigh(gen.matrix[np.ix_(keep, keep)], mu)
     np.clip(lam, 0.0, None, out=lam)
     return SpectralKernel(
         graph=graph,

@@ -5,7 +5,7 @@ verification and writes tables (CSV), reports (JSON), plot data plus a
 gnuplot script, and a manifest with per-stage timings and a checksummed file
 inventory.  All numeric output is formatted with 17 significant digits and
 written in deterministic order, so identical configs reproduce identical
-bytes regardless of the thread count.
+bytes, whether the eigen cache was cold or warm.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,15 +89,6 @@ class PipelineState:
         return path
 
 
-def parallel_map(fn, items, threads: int):
-    """Order-preserving map; results are independent of the worker count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Stages
 
@@ -132,18 +122,11 @@ def _stage_spectral(state: PipelineState) -> None:
     rng = np.random.default_rng(cfg.seed)
     n = folded.n
     pairs = rng.integers(0, n, size=(min(cfg.table_pairs, n * n), 2))
-    rows_idx = pairs[:, 0]
-    cols_idx = pairs[:, 1]
-
-    def row_block(t: float) -> np.ndarray:
-        g = folded.matrix(t)
-        return g[rows_idx, cols_idx]
-
-    blocks = parallel_map(row_block, cfg.kernel_times, cfg.threads)
     table = state.out(f"tables/heat_M{cfg.M}_n{cfg.n}.csv")
     with table.open("w") as fh:
         fh.write("M,n,t,x_index,y_index,value\n")
-        for t, block in zip(cfg.kernel_times, blocks):
+        for t in cfg.kernel_times:
+            block = folded.matrix(t)[pairs[:, 0], pairs[:, 1]]
             for (i, j), v in zip(pairs, block):
                 fh.write(f"{cfg.M},{cfg.n},{fmt(t)},{i},{j},{fmt(v)}\n")
     metrics = {
@@ -165,16 +148,13 @@ def _stage_subordinate(state: PipelineState) -> None:
     pairs = state.table_pairs_idx
     payload = {}
     for spec in cfg.subordinators:
-        def row_block(t: float, spec=spec) -> np.ndarray:
-            g = folded.matrix(t, exponent=spec.laplace_exponent)
-            return g[pairs[:, 0], pairs[:, 1]]
-
-        blocks = parallel_map(row_block, cfg.kernel_times, cfg.threads)
         safe = spec.label().replace("(", "_").replace(")", "").replace(",", "_")
         table = state.out(f"tables/subordinate_{safe}.csv")
         with table.open("w") as fh:
             fh.write("M,n,t,x_index,y_index,value,subordinator\n")
-            for t, block in zip(cfg.kernel_times, blocks):
+            for t in cfg.kernel_times:
+                g = folded.matrix(t, exponent=spec.laplace_exponent)
+                block = g[pairs[:, 0], pairs[:, 1]]
                 for (i, j), v in zip(pairs, block):
                     fh.write(
                         f"{cfg.M},{cfg.n},{fmt(t)},{i},{j},{fmt(v)},{spec.label()}\n"
@@ -190,93 +170,44 @@ def _stage_subordinate(state: PipelineState) -> None:
     _write_json(state.out("reports/subordination.json"), payload)
 
 
-def _collect_plot_rows(study, report, spec, cfg, rng):
-    """(t, r, kernel, form, ratio) rows for one claim, on a seeded subsample."""
-    from .bounds import form_for, log_time_grid
+def _collect_plot_rows(study: ReflectionStudy, report: BoundReport, metric: str):
+    """(t, r, kernel, form, ratio) plot rows from the report's own samples."""
+    dist = study.metric(metric)
+    return [(t, float(dist[i, j]), k, f, q) for t, i, j, k, f, q in report.samples]
 
-    system = cfg.system
-    lf = float(system.L)
-    n = len(study.sub_indices)
-    take = min(50, n)
-    idx = rng.integers(0, n, size=(take, 2))
-    dist = study.metric(cfg.metric)
-    crossover_rel = lf ** (study.M * system.walk_dim)
-    crossover_stb = lf ** (spec.alpha * study.M * system.walk_dim) if spec else None
-    regime = report.regime
-    if regime == "near":
-        times = log_time_grid(cfg.t_min, crossover_stb * 0.98, cfg.n_times)
-    elif regime == "flat":
-        cross = crossover_stb if spec.kind == "stable" else crossover_rel
-        times = log_time_grid(cross, cross * cfg.flat_span, cfg.n_times)
-    elif regime == "regime1":
-        times = log_time_grid(1.0, crossover_rel * 0.98, cfg.n_times)
-    elif regime in ("regime2", "regime3", "domination"):
-        times = log_time_grid(cfg.t_min, 0.95, cfg.n_times)
-    else:
-        return []
-    form = None
-    if regime == "regime1":
-        form = form_for(system, "relativistic_regime_1", alpha=spec.alpha, M=study.M,
-                        c=report.fitted_c or 1.0)
-    elif regime == "regime2":
-        form = form_for(system, "relativistic_regime_2", alpha=spec.alpha, M=study.M,
-                        c=report.fitted_c or 1.0)
-    elif regime == "regime3":
-        form = form_for(system, "relativistic_regime_3", alpha=spec.alpha, M=study.M)
-    rows = []
-    flat_value = lf ** (-study.M * system.hausdorff_dim)
-    for t in times:
-        folded = study.folded_matrix(t, spec)
-        free = study.free_matrix(t, spec) if regime in ("near", "domination") else None
-        for i, j in idx:
-            r = float(dist[i, j])
-            if regime == "regime2" and r < 1.0:
-                continue
-            if regime == "regime3" and r >= 1.0:
-                continue
-            kern = float(folded[i, j])
-            if regime in ("near", "domination"):
-                denom = float(free[i, j])
-            elif regime == "flat":
-                denom = flat_value
-            else:
-                denom = float(form.evaluate(t, r))
-            rows.append((float(t), r, kern, denom, kern / max(denom, 1e-300)))
-    return rows
+
+def _bound_reports(studies, spec, cfg: RunConfig) -> list[dict[str, BoundReport]]:
+    """One subordinator's bound reports at each study's depth."""
+    common = dict(
+        n_times=cfg.n_times, t_min=cfg.t_min, flat_span=cfg.flat_span,
+        spread_threshold=cfg.spread_threshold, seed=cfg.seed,
+    )
+    if spec.kind == "stable":
+        return [
+            stable_comparison_reports(
+                study, spec.alpha, bracket_tol=cfg.bracket_tol, **common
+            )
+            for study in studies
+        ]
+    return [
+        relativistic_comparison_reports(
+            study, spec.alpha, spec.m, domination_tol=cfg.domination_tol,
+            metric=cfg.metric, **common,
+        )
+        for study in studies
+    ]
 
 
 def _stage_verify(state: PipelineState) -> None:
     cfg = state.config
-    rng = np.random.default_rng(cfg.seed)
+    fine, coarse = (
+        ReflectionStudy.build(cfg.system, cfg.M, depth, cfg.window, state.cache)
+        for depth in (cfg.n, cfg.n - 1)
+    )
     all_reports: dict[str, dict] = {}
     passed = True
     for spec in cfg.subordinators:
-        fine = ReflectionStudy.build(cfg.system, cfg.M, cfg.n, cfg.window, state.cache)
-        coarse = ReflectionStudy.build(
-            cfg.system, cfg.M, cfg.n - 1, cfg.window, state.cache
-        )
-        if spec.kind == "stable":
-            fine_reports = stable_comparison_reports(
-                fine, spec.alpha, n_times=cfg.n_times, t_min=cfg.t_min,
-                spread_threshold=cfg.spread_threshold,
-                bracket_tol=cfg.bracket_tol, seed=cfg.seed,
-            )
-            coarse_reports = stable_comparison_reports(
-                coarse, spec.alpha, n_times=cfg.n_times, t_min=cfg.t_min,
-                spread_threshold=cfg.spread_threshold,
-                bracket_tol=cfg.bracket_tol, seed=cfg.seed,
-            )
-        else:
-            fine_reports = relativistic_comparison_reports(
-                fine, spec.alpha, spec.m, n_times=cfg.n_times, t_min=cfg.t_min,
-                flat_span=cfg.flat_span, spread_threshold=cfg.spread_threshold,
-                domination_tol=cfg.domination_tol, metric=cfg.metric, seed=cfg.seed,
-            )
-            coarse_reports = relativistic_comparison_reports(
-                coarse, spec.alpha, spec.m, n_times=cfg.n_times, t_min=cfg.t_min,
-                flat_span=cfg.flat_span, spread_threshold=cfg.spread_threshold,
-                domination_tol=cfg.domination_tol, metric=cfg.metric, seed=cfg.seed,
-            )
+        fine_reports, coarse_reports = _bound_reports((fine, coarse), spec, cfg)
         for name, rep in fine_reports.items():
             stab = refinement_stability(coarse_reports[name], rep)
             state.stability[rep.claim] = stab
@@ -287,7 +218,7 @@ def _stage_verify(state: PipelineState) -> None:
             all_reports[rep.claim] = entry
             passed &= entry["pass"]
             key = f"{spec.label()}:{name}"
-            state.plot_rows[key] = _collect_plot_rows(fine, rep, spec, cfg, rng)
+            state.plot_rows[key] = _collect_plot_rows(fine, rep, cfg.metric)
             state.reports.setdefault(spec.label(), {})[name] = rep
     _write_json(state.out("reports/bounds.json"), all_reports)
     state.claims_passed = passed

@@ -279,12 +279,11 @@ def test_criterion_10_reproducibility(tmp_path):
         text.replace("fractal = gasket.ini", f"fractal = {CONFIGS / 'gasket.ini'}")
     )
 
-    def run(outdir, threads):
+    def run(outdir):
         proc = subprocess.run(
             [
                 sys.executable, "-m", "fractalheat", "report",
                 "--config", str(run_cfg), "--out", str(outdir),
-                "--threads", str(threads),
             ],
             capture_output=True,
             text=True,
@@ -297,17 +296,17 @@ def test_criterion_10_reproducibility(tmp_path):
             and p.name != "manifest.json"
         }
 
-    inv1 = run(tmp_path / "t1", 1)
-    inv8 = run(tmp_path / "t8", 8)
-    identical = inv1 == inv8
-    man1 = json.loads((tmp_path / "t1" / "manifest.json").read_text())
-    man8 = json.loads((tmp_path / "t8" / "manifest.json").read_text())
-    manifests_match = man1["inventory"] == man8["inventory"]
+    inv1 = run(tmp_path / "r1")
+    inv2 = run(tmp_path / "r2")
+    identical = inv1 == inv2
+    man1 = json.loads((tmp_path / "r1" / "manifest.json").read_text())
+    man2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
+    manifests_match = man1["inventory"] == man2["inventory"]
     elapsed = time.perf_counter() - t0
     _line(
         10,
         "reproducibility",
         identical and manifests_match and man1["claims_passed"],
-        f"{len(inv1)} files bit-identical at --threads 1 vs 8, "
+        f"{len(inv1)} files bit-identical across two cold runs, "
         f"manifest inventories equal, {elapsed:.0f}s",
     )

@@ -96,10 +96,7 @@ class TestRunConfig:
         assert cfg.spread_threshold == 10.0
 
     def test_overrides(self, tmp_path):
-        cfg = load_run_config(
-            CONFIGS / "quick-run.ini", out_override=tmp_path / "o", threads_override=4
-        )
-        assert cfg.threads == 4
+        cfg = load_run_config(CONFIGS / "quick-run.ini", out_override=tmp_path / "o")
         assert cfg.out_dir == tmp_path / "o"
 
     @pytest.mark.parametrize(
@@ -108,7 +105,6 @@ class TestRunConfig:
             "n = 9",
             "n = 0",
             "window = 0",
-            "threads = 0",
             "metric = manhattan",
         ],
     )
