@@ -480,6 +480,18 @@ def _plot_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs, pairs[:, 0] * n + pairs[:, 1]
 
 
+def _masked_plot_pairs(
+    mask: np.ndarray, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``count`` distinct seeded (i, j) pairs inside ``mask``, drawn
+    from a generator no statistic consumes, and their positions among the
+    masked entries (the order of ``array[mask]``)."""
+    inside = np.flatnonzero(mask)
+    rng = np.random.default_rng(seed)
+    where = rng.choice(len(inside), size=min(count, len(inside)), replace=False)
+    return np.column_stack(np.divmod(inside[where], mask.shape[1])), where
+
+
 def _samples(t, pairs, pos, kernel, form, ratio) -> list[tuple]:
     """(t, i, j, kernel, form, ratio) rows at ``pairs``; ``pos`` locates each
     pair in the flattened arrays."""
@@ -684,13 +696,11 @@ def relativistic_comparison_reports(
                 fitted_form = form.with_constant(fit_report.fitted_c)
             fit_extras["fit_slope_lsq"] = fit_report.extras.get("fit_slope_lsq")
             fit_extras["fit_r2"] = fit_report.fit_r2
-        # pass 2: full-grid ratio against the (fitted) form; the plot pairs
-        # inside the mask, located among the masked entries
+        # pass 2: full-grid ratio against the (fitted) form
         if mask is None:
             inside, where = pairs, pos
         else:
-            keep = mask.ravel()[pos]
-            inside, where = pairs[keep], (np.cumsum(mask) - 1)[pos[keep]]
+            inside, where = _masked_plot_pairs(mask, len(pairs), seed)
         samples: list[tuple] = []
         for t in times:
             folded = study.folded_matrix(t, spec)

@@ -19,6 +19,8 @@ Ratio statistics elsewhere clamp at 1e-14; raw tables are never clamped.
 from __future__ import annotations
 
 import hashlib
+import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,25 +245,48 @@ class KernelCache:
         return d / f"eig-{key}.npz"
 
     def _load(self, key: str) -> SpectralKernel | None:
+        """The stored entry for ``key``; None (a miss) when there is none or
+        it is unreadable, was written for another key, or has shapes that
+        disagree."""
         path = self._path(key)
         if path is None or not path.exists():
             return None
-        data = np.load(path)
-        index_map = data["index_map"] if "index_map" in data else None
+        try:
+            with np.load(path) as data:
+                stored_key = str(data["key"])
+                eigenvalues = data["eigenvalues"]
+                psi = data["psi"]
+                mu = data["mu"]
+                conservative = bool(data["conservative"])
+                index_map = data["index_map"] if "index_map" in data else None
+        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+            return None
+        n = len(mu)
+        if (
+            stored_key != key
+            or psi.shape != (n, len(eigenvalues))
+            or (not conservative and (index_map is None or len(index_map) != n))
+        ):
+            return None
         return SpectralKernel(
             graph=None,  # re-attached by caller
-            eigenvalues=data["eigenvalues"],
-            psi=data["psi"],
-            mu=data["mu"],
-            conservative=bool(data["conservative"]),
+            eigenvalues=eigenvalues,
+            psi=psi,
+            mu=mu,
+            conservative=conservative,
             index_map=index_map,
         )
 
     def _store(self, key: str, kern: SpectralKernel) -> None:
+        """Write the entry uncompressed (deflate costs far more time than the
+        ~10 % of bytes it saves) to a temp file, then rename it into place,
+        so readers see a whole entry or none.  No fsync: an entry torn by a
+        power loss fails the checked load and is rebuilt."""
         path = self._path(key)
         if path is None:
             return
         payload = dict(
+            key=np.str_(key),
             eigenvalues=kern.eigenvalues,
             psi=kern.psi,
             mu=kern.mu,
@@ -269,7 +294,14 @@ class KernelCache:
         )
         if kern.index_map is not None:
             payload["index_map"] = kern.index_map
-        np.savez_compressed(path, **payload)
+        tmp = path.with_name(f".eig-{key}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **payload)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 _DEFAULT_CACHE = KernelCache()
@@ -286,7 +318,11 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
     keep = np.array([i for i in range(graph.n_vertices) if i not in set(corners)])
     mu = graph.measure[keep]
     lam, psi = _symmetric_eigh(gen.matrix[np.ix_(keep, keep)], mu)
-    np.clip(lam, 0.0, None, out=lam)
+    # killing at the corners makes every rate strictly positive
+    if not lam[0] > 1e-8 * float(np.abs(lam).max()):
+        raise KernelError(
+            f"killed generator must have positive rates, got smallest {lam[0]:.3e}"
+        )
     return SpectralKernel(
         graph=graph,
         eigenvalues=lam,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bounds import (
@@ -51,6 +52,20 @@ def _sha256(path: Path) -> str:
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _config_hash(config: RunConfig) -> str:
+    """sha256 over every input of a run: the run INI text, the fractal INI
+    bytes, and the fractalheat, numpy and scipy versions."""
+    parts = (
+        config.raw_text.encode(),
+        config.fractal_path.read_bytes(),
+        f"fractalheat {__version__} numpy {np.__version__} scipy {scipy.__version__}".encode(),
+    )
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(hashlib.sha256(part).digest())
+    return h.hexdigest()
 
 
 @dataclass
@@ -293,6 +308,9 @@ def run_pipeline(
         "report": _stage_report,
     }
     last_index = STAGES.index(last_stage)
+    # the manifest is written last, so one left on disk always matches it
+    manifest_path = config.out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     try:
         for stage in STAGES[: last_index + 1]:
             t0 = time.perf_counter()
@@ -309,13 +327,12 @@ def run_pipeline(
         if p.exists()
     }
     manifest = RunManifest(
-        config_hash=hashlib.sha256(config.raw_text.encode()).hexdigest(),
+        config_hash=_config_hash(config),
         artifact_version=__version__,
         timings={k: round(v, 6) for k, v in state.timings.items()},
         inventory=inventory,
         claims_passed=state.claims_passed,
     )
-    manifest_path = config.out_dir / "manifest.json"
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(manifest_path, manifest.to_dict())
     return manifest

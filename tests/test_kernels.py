@@ -13,6 +13,7 @@ from fractalheat import (
     check_scaling_property,
     estimate_walk_dimension,
     folding_crosscheck,
+    kernels,
     reflected_kernel,
     spectral_decompose,
     unbounded_kernel_truncated,
@@ -155,6 +156,18 @@ class TestTruncatedFreeKernel:
     def test_neumann_window_conserves_mass(self, gasket, cache):
         fa = unbounded_kernel_truncated(gasket, 2, 3, times=[0.02], cache=cache)
         assert fa.kernel.conservativeness_residual(0.02) <= 1e-10
+
+    def test_killed_kernel_rejects_zero_rate(self, gasket, cache, monkeypatch):
+        eigh = kernels._symmetric_eigh
+
+        def zero_rate(q, mu):
+            lam, psi = eigh(q, mu)
+            lam[0] = 0.0
+            return lam, psi
+
+        monkeypatch.setattr(kernels, "_symmetric_eigh", zero_rate)
+        with pytest.raises(KernelError, match="positive rates"):
+            kernels._dirichlet_kernel(cache.graph(gasket, 1, 2))
 
 
 class TestFoldingCrosscheck:

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
 
+from fractalheat import pipeline
+from fractalheat.bounds import PLOT_PAIRS, ReflectionStudy
 from fractalheat.config import load_run_config
 from fractalheat.kernels import KernelCache
 from fractalheat.pipeline import emit_plot_data, run_pipeline
@@ -35,6 +39,13 @@ def _tracked_files(outdir: Path):
         if p.is_file() and p.suffix in (".csv", ".json", ".txt", ".gp")
         and p.name != "manifest.json"
     }
+
+
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """One cold quick run; tests that change its files work on copies."""
+    cfg = load_run_config(_quick_config(tmp_path_factory.mktemp("quick")))
+    return cfg, run_pipeline(cfg)
 
 
 class TestPipeline:
@@ -101,6 +112,90 @@ class TestPipeline:
                     assert form - kern <= rep["max_violation"]
                 else:
                     assert rep["min_ratio"] <= ratio <= rep["max_ratio"]
+
+    def test_plot_csv_rows_fill_each_regime(self, quick_run):
+        cfg, _ = quick_run
+        cache = KernelCache(directory=cfg.out_dir / "cache")
+        study = ReflectionStudy.build(cfg.system, cfg.M, cfg.n, cfg.window, cache)
+        n = len(study.sub_indices)
+        dist = study.metric(cfg.metric)
+        in_mask = {"regime2": int((dist >= 1.0).sum()), "regime3": int((dist < 1.0).sum())}
+        plots = sorted((cfg.out_dir / "plots").glob("claim_*.csv"))
+        assert plots
+        for path in plots:
+            regime = path.stem.rsplit("-", 1)[1]
+            pairs = min(PLOT_PAIRS, n, in_mask.get(regime, n * n))
+            rows = path.read_text().splitlines()[1:]
+            assert len(rows) == cfg.n_times * pairs, path.name
+
+    def test_failed_run_leaves_no_manifest(self, tmp_path, monkeypatch):
+        cfg = load_run_config(_quick_config(tmp_path))
+        run_pipeline(cfg)
+        assert (cfg.out_dir / "manifest.json").exists()
+
+        def boom(state):
+            raise RuntimeError("injected stage failure")
+
+        monkeypatch.setattr(pipeline, "_stage_subordinate", boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_pipeline(cfg)
+        assert not (cfg.out_dir / "manifest.json").exists()
+
+    def test_config_hash_covers_fractal_config(self, tmp_path):
+        fractal = tmp_path / "gasket.ini"
+        fractal.write_text((CONFIGS / "gasket.ini").read_text())
+        run_ini = tmp_path / "run.ini"
+        quick = (CONFIGS / "quick-run.ini").read_text()
+        run_ini.write_text(quick.replace("out = out-quick", f"out = {tmp_path / 'out'}"))
+        before = run_pipeline(load_run_config(run_ini), last_stage="validate")
+        fractal.write_text(fractal.read_text() + "# an edited comment\n")
+        after = run_pipeline(load_run_config(run_ini), last_stage="validate")
+        assert before.inventory == after.inventory
+        assert before.config_hash != after.config_hash
+
+
+def _entries(cache_dir: Path) -> list[Path]:
+    return sorted(cache_dir.glob("eig-*.npz"))
+
+
+def _warm_rerun(cache_dir: Path, out: Path):
+    warm = load_run_config(_quick_config(out.parent, out.name))
+    return run_pipeline(warm, cache=KernelCache(directory=cache_dir))
+
+
+class TestEigenCache:
+    def test_cold_run_leaves_only_stored_entries(self, quick_run):
+        cfg, _ = quick_run
+        cache_dir = cfg.out_dir / "cache"
+        assert sorted(cache_dir.iterdir()) == _entries(cache_dir)
+        for path in _entries(cache_dir):
+            with zipfile.ZipFile(path) as zf:
+                assert {m.compress_type for m in zf.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_truncated_entry_is_rebuilt(self, quick_run, tmp_path):
+        cfg, cold = quick_run
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(cfg.out_dir / "cache", cache_dir)
+        victim = _entries(cache_dir)[0]
+        key = victim.stem.removeprefix("eig-")
+        data = victim.read_bytes()
+        victim.write_bytes(data[: len(data) // 2])
+        assert KernelCache(directory=cache_dir)._load(key) is None
+        warm = _warm_rerun(cache_dir, tmp_path / "warm")
+        assert warm.inventory == cold.inventory
+        assert KernelCache(directory=cache_dir)._load(key) is not None
+
+    def test_entry_for_another_key_is_a_miss(self, quick_run, tmp_path):
+        cfg, cold = quick_run
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(cfg.out_dir / "cache", cache_dir)
+        source, target = _entries(cache_dir)[:2]
+        key = target.stem.removeprefix("eig-")
+        target.write_bytes(source.read_bytes())
+        assert KernelCache(directory=cache_dir)._load(key) is None
+        warm = _warm_rerun(cache_dir, tmp_path / "warm")
+        assert warm.inventory == cold.inventory
+        assert KernelCache(directory=cache_dir)._load(key) is not None
 
 
 class TestEmitPlotData:
