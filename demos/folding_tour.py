@@ -13,8 +13,6 @@ from fractions import Fraction
 from fractalheat import (
     build_good_labeling,
     build_vertex_graph,
-    preimages_and_rank,
-    project_point,
     rotation_group,
     sierpinski_gasket,
 )
@@ -31,14 +29,14 @@ for c in lm.complexes[:4]:
     print(f"  complex {c.word}: rotation #{c.rotation_index}")
 
 x = Vec2.of(Fraction(3, 2), 0)
-print(f"\nfolding {x} -> {project_point(lm, x)}")
+print(f"\nfolding {x} -> {lm.project_point(x)}")
 
 y = Vec2.of(Fraction(1, 8), 0)
-pre, _ = preimages_and_rank(lm, y)
+pre, _ = lm.preimages_and_rank(y)
 print(f"{y} has {len(pre)} preimages in the window (one per complex)")
 
 corner = Vec2.of(1, 0)
-pre, ranks = preimages_and_rank(lm, corner)
+pre, ranks = lm.preimages_and_rank(corner)
 print(f"corner {corner}: preimage ranks {sorted(ranks.values())}")
 
 print("\n== measure-preserving folding (exact) ==")

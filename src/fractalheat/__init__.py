@@ -11,7 +11,6 @@ from .geometry import (
     build_system,
     build_vertex_graph,
     enumerate_cells,
-    essential_fixed_points,
     fixed_points,
     gasket_vertex_count,
     sierpinski_gasket,
@@ -23,8 +22,6 @@ from .labeling import (
     LabelMap,
     RotationGroup,
     build_good_labeling,
-    preimages_and_rank,
-    project_point,
     rotation_group,
 )
 from .kernels import (
@@ -62,7 +59,6 @@ from .subordinate import (
     crosscheck_subordination,
     subordinate_quadrature,
     subordinate_spectral,
-    subordinate_value,
 )
 from .bounds import (
     BoundError,
@@ -71,7 +67,6 @@ from .bounds import (
     ReflectionStudy,
     SandwichReport,
     classify_regime,
-    evaluate_form,
     fit_envelope_constants,
     form_for,
     refinement_stability,

@@ -148,10 +148,6 @@ class EnvelopeForm:
         return out if (np.ndim(t) or np.ndim(r)) else float(out)
 
 
-def evaluate_form(form: EnvelopeForm, t, r):
-    return form.evaluate(t, r)
-
-
 def form_for(system: FractalSystem, kind: str, alpha=None, M=None, c=1.0) -> EnvelopeForm:
     return EnvelopeForm(
         kind=kind,
@@ -416,20 +412,7 @@ class ReflectionStudy:
     def free_matrix(self, t: float, spec: SubordinatorSpec | None = None):
         """Free-kernel surrogate evaluated at the folded-graph points."""
         expo = spec.laplace_exponent if spec else None
-        return self.window_kernel.matrix(
-            t, rows=self.sub_indices, cols=self.sub_indices, exponent=expo
-        )
-
-    def dirichlet_matrix(self, t: float, spec: SubordinatorSpec | None = None):
-        dk = self.dirichlet()
-        expo = spec.laplace_exponent if spec else None
-        kept = {int(v): k for k, v in enumerate(dk.index_map)}
-        rows = np.array([kept.get(int(v), -1) for v in self.sub_indices])
-        valid = rows >= 0
-        out = np.zeros((len(rows), len(rows)))
-        block = dk.matrix(t, rows=rows[valid], cols=rows[valid], exponent=expo)
-        out[np.ix_(valid, valid)] = block
-        return out, valid
+        return self.window_kernel.matrix(t, rows=self.sub_indices, exponent=expo)
 
     def certifiable_mask(self, radius: float | None = None) -> np.ndarray:
         """Folded-graph points at distance >= radius from every killed window
@@ -453,16 +436,20 @@ class ReflectionStudy:
         ok = np.flatnonzero(self.certifiable_mask())
         if ok.size == 0:
             raise BoundError("no certifiable interior points for the bracket")
+        killed = self.dirichlet()
+        expo = spec.laplace_exponent
         worst = 0.0
         for t in times:
-            free = self.free_matrix(t, spec)
-            diri, valid = self.dirichlet_matrix(t, spec)
-            idx = rng.choice(ok, size=(max_points, 2))
-            for i, j in idx:
-                if not (valid[i] and valid[j]):
-                    continue
-                width = (free[i, j] - diri[i, j]) / max(free[i, j], CLAMP)
-                worst = max(worst, float(width))
+            # window-graph vertex pairs, and their positions among the vertices
+            # the killed kernel keeps (index_map is ascending)
+            pairs = self.sub_indices[rng.choice(ok, size=(max_points, 2))]
+            pos = np.searchsorted(killed.index_map, pairs)
+            if not (np.take(killed.index_map, pos, mode="clip") == pairs).all():
+                raise BoundError("a bracket point is a killed corner of the window")
+            free = self.window_kernel.value(t, pairs[:, 0], pairs[:, 1], expo)
+            diri = killed.value(t, pos[:, 0], pos[:, 1], expo)
+            width = (free - diri) / np.maximum(free, CLAMP)
+            worst = max(worst, float(width.max()))
         return worst
 
 

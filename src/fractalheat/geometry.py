@@ -184,10 +184,6 @@ def _essential_fixed_points(maps: tuple[Similitude, ...]) -> list[Vec2]:
     return essential
 
 
-def essential_fixed_points(system: FractalSystem) -> list[Vec2]:
-    return list(system.essential_vertices)
-
-
 # ---------------------------------------------------------------------------
 # Shipped systems
 

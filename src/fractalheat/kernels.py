@@ -121,32 +121,28 @@ class SpectralKernel:
         out[keep] = np.exp(-t * rates[keep])
         return out
 
-    def matrix(self, t: float, rows=None, cols=None, exponent=None) -> np.ndarray:
-        """Dense kernel block; exactly symmetric when rows is cols."""
+    def matrix(self, t: float, rows=None, exponent=None) -> np.ndarray:
+        """Dense kernel block over all vertices, or over ``rows`` on both
+        axes; exactly symmetric."""
         w = self.weights(t, exponent)
         keep = w > 0
         z = self.psi[:, keep] * np.sqrt(w[keep])
-        if rows is None and cols is None:
-            g = z @ z.T
-            g = np.triu(g)
-            g = g + np.triu(g, 1).T
-            return g / np.outer(self.sqrt_mu, self.sqrt_mu)
-        zr = z if rows is None else z[rows]
-        zc = z if cols is None else z[cols]
-        sr = self.sqrt_mu if rows is None else self.sqrt_mu[rows]
-        sc = self.sqrt_mu if cols is None else self.sqrt_mu[cols]
-        if rows is not None and cols is not None and np.array_equal(rows, cols):
-            g = zr @ zr.T
-            g = np.triu(g)
-            g = g + np.triu(g, 1).T
-            return g / np.outer(sr, sc)
-        return (zr @ zc.T) / np.outer(sr, sc)
+        s = self.sqrt_mu
+        if rows is not None:
+            z, s = z[rows], s[rows]
+        g = np.triu(z @ z.T)
+        g = g + np.triu(g, 1).T
+        return g / np.outer(s, s)
 
-    def value(self, t: float, i: int, j: int, exponent=None) -> float:
+    def value(self, t: float, i, j, exponent=None):
+        """Kernel values at the pairs ``(i, j)``: integer arrays broadcast
+        together and give an array, scalar indices give a float."""
         w = self.weights(t, exponent)
-        return float((self.psi[i] * w) @ self.psi[j]) / float(
-            self.sqrt_mu[i] * self.sqrt_mu[j]
-        )
+        # one (1 x m) @ (m x 1) product per pair, so a pair's value has the
+        # same bytes whether it is asked for alone or within an array
+        dot = np.matmul((self.psi[i] * w)[..., None, :], self.psi[j][..., :, None])
+        g = dot[..., 0, 0] / (self.sqrt_mu[i] * self.sqrt_mu[j])
+        return float(g) if np.ndim(g) == 0 else g
 
     def row_mass(self, t: float, exponent=None) -> np.ndarray:
         """``sum_y g(t, x, y) mu(y)`` for every x (1.0 when conservative)."""
@@ -410,19 +406,14 @@ def fit_subgaussian_constants(
     ys_feat = []
     dist = graph.distance_matrix()
     for t in times:
-        g = kernel.matrix(t)
-        idx = rng.integers(0, n, size=(sample_size, 2))
-        for i, j in idx:
-            val = g[i, j]
-            if val <= 1e-13:
-                continue
-            arg = (dist[i, j] ** system.walk_dim / t) ** expo
-            if not (arg_window[0] <= arg <= arg_window[1]):
-                continue
-            xs_feat.append(arg)
-            ys_feat.append(-np.log(val * t**ds2))
-    x = np.asarray(xs_feat)
-    y = np.asarray(ys_feat)
+        i, j = rng.integers(0, n, size=(sample_size, 2)).T
+        val = kernel.value(t, i, j)
+        arg = (dist[i, j] ** system.walk_dim / t) ** expo
+        ok = (val > 1e-13) & (arg_window[0] <= arg) & (arg <= arg_window[1])
+        xs_feat.append(arg[ok])
+        ys_feat.append(-np.log(val[ok] * t**ds2))
+    x = np.concatenate(xs_feat)
+    y = np.concatenate(ys_feat)
     if x.size < 10:
         raise KernelError("too few samples in the decay-argument window")
     a = np.vstack([x, np.ones_like(x)]).T
@@ -663,13 +654,11 @@ def check_scaling_property(
     rng = np.random.default_rng(seed)
     n = coarse_graph.n_vertices
     n_pairs = min(max_pairs, n * n)
-    pairs = rng.integers(0, n, size=(n_pairs, 2))
+    i, j = rng.integers(0, n, size=(n_pairs, 2)).T
     worst = 0.0
     for t in times:
-        gc = coarse.matrix(t)
-        gf = fine.matrix(scale_t * t, rows=mapped, cols=mapped)
-        lhs = gc[pairs[:, 0], pairs[:, 1]]
-        rhs = scale_g * gf[pairs[:, 0], pairs[:, 1]]
+        lhs = coarse.value(t, i, j)
+        rhs = scale_g * fine.value(scale_t * t, mapped[i], mapped[j])
         rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
         worst = max(worst, float(rel.max()))
     return ScalingCheck(

@@ -333,11 +333,3 @@ def build_good_labeling(
         labels=labels,
         base_corner_labels=base_corner_labels,
     )
-
-
-def project_point(label_map: LabelMap, x: Vec2) -> Vec2:
-    return label_map.project_point(x)
-
-
-def preimages_and_rank(label_map: LabelMap, y: Vec2):
-    return label_map.preimages_and_rank(y)

@@ -130,20 +130,29 @@ def _stage_labeling(state: PipelineState) -> None:
     state.label_map = label_map
 
 
+def _write_table(state: PipelineState, rel: str, kernel, spec=None) -> None:
+    """Kernel values at the seeded table pairs for each kernel time; a
+    subordinate table carries the subordinator label in its last column."""
+    cfg = state.config
+    i, j = state.table_pairs_idx.T
+    exponent, header, suffix = None, "", ""
+    if spec is not None:
+        exponent, header, suffix = spec.laplace_exponent, ",subordinator", f",{spec.label()}"
+    with state.out(rel).open("w") as fh:
+        fh.write(f"M,n,t,x_index,y_index,value{header}\n")
+        for t in cfg.kernel_times:
+            for a, b, v in zip(i, j, kernel.value(t, i, j, exponent)):
+                fh.write(f"{cfg.M},{cfg.n},{fmt(t)},{a},{b},{fmt(v)}{suffix}\n")
+
+
 def _stage_spectral(state: PipelineState) -> None:
     cfg = state.config
     folded = state.cache.kernel(cfg.system, cfg.M, cfg.n)
     window = state.cache.kernel(cfg.system, cfg.window, cfg.n)
     rng = np.random.default_rng(cfg.seed)
     n = folded.n
-    pairs = rng.integers(0, n, size=(min(cfg.table_pairs, n * n), 2))
-    table = state.out(f"tables/heat_M{cfg.M}_n{cfg.n}.csv")
-    with table.open("w") as fh:
-        fh.write("M,n,t,x_index,y_index,value\n")
-        for t in cfg.kernel_times:
-            block = folded.matrix(t)[pairs[:, 0], pairs[:, 1]]
-            for (i, j), v in zip(pairs, block):
-                fh.write(f"{cfg.M},{cfg.n},{fmt(t)},{i},{j},{fmt(v)}\n")
+    state.table_pairs_idx = rng.integers(0, n, size=(min(cfg.table_pairs, n * n), 2))
+    _write_table(state, f"tables/heat_M{cfg.M}_n{cfg.n}.csv", folded)
     metrics = {
         "conservativeness_residual": {
             fmt(t): fmt(folded.conservativeness_residual(t)) for t in cfg.kernel_times
@@ -154,26 +163,15 @@ def _stage_spectral(state: PipelineState) -> None:
         "window_vertices": window.n,
     }
     _write_json(state.out("reports/kernel_metrics.json"), metrics)
-    state.table_pairs_idx = pairs
 
 
 def _stage_subordinate(state: PipelineState) -> None:
     cfg = state.config
     folded = state.cache.kernel(cfg.system, cfg.M, cfg.n)
-    pairs = state.table_pairs_idx
     payload = {}
     for spec in cfg.subordinators:
         safe = spec.label().replace("(", "_").replace(")", "").replace(",", "_")
-        table = state.out(f"tables/subordinate_{safe}.csv")
-        with table.open("w") as fh:
-            fh.write("M,n,t,x_index,y_index,value,subordinator\n")
-            for t in cfg.kernel_times:
-                g = folded.matrix(t, exponent=spec.laplace_exponent)
-                block = g[pairs[:, 0], pairs[:, 1]]
-                for (i, j), v in zip(pairs, block):
-                    fh.write(
-                        f"{cfg.M},{cfg.n},{fmt(t)},{i},{j},{fmt(v)},{spec.label()}\n"
-                    )
+        _write_table(state, f"tables/subordinate_{safe}.csv", folded, spec)
         check = crosscheck_subordination(
             folded, spec, times=[0.5, 1.0, 2.0],
             n_samples=cfg.crosscheck_samples, seed=cfg.seed,

@@ -23,15 +23,11 @@ def subordinate_spectral(
     kernel: SpectralKernel,
     spec: SubordinatorSpec,
     times,
-    rows=None,
-    cols=None,
 ) -> KernelTable:
     """Subordinate kernel table via eigenvalue mapping (no density quadrature)."""
     times = tuple(float(t) for t in times)
     exponent = spec.laplace_exponent
-    values = np.stack(
-        [kernel.matrix(t, rows=rows, cols=cols, exponent=exponent) for t in times]
-    )
+    values = np.stack([kernel.matrix(t, exponent=exponent) for t in times])
     return KernelTable(
         graph=kernel.graph,
         times=times,
@@ -39,12 +35,6 @@ def subordinate_spectral(
         kernel=kernel,
         subordinator=spec.label(),
     )
-
-
-def subordinate_value(
-    kernel: SpectralKernel, spec: SubordinatorSpec, t: float, i: int, j: int
-) -> float:
-    return kernel.value(t, i, j, exponent=spec.laplace_exponent)
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ def crosscheck_subordination(
         t = times[k % len(times)]
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n))
-        direct = subordinate_value(kernel, spec, t, i, j)
+        direct = kernel.value(t, i, j, exponent=spec.laplace_exponent)
         quadval = subordinate_quadrature(kernel, spec, t, i, j).value
         worst = max(worst, abs(direct - quadval) / max(abs(direct), 1e-300))
     return EquivalenceReport(

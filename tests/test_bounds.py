@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from fractalheat.bounds import (
+    CLAMP,
     BoundError,
     EmptyRegimeError,
     EnvelopeForm,
     ReflectionStudy,
     classify_regime,
-    evaluate_form,
     fit_envelope_constants,
     form_for,
     refinement_stability,
@@ -18,6 +18,7 @@ from fractalheat.bounds import (
     stable_comparison_reports,
 )
 from fractalheat.kernels import KernelError
+from fractalheat.subordinators import SubordinatorSpec
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ class TestForms:
     def test_f_env_at_zero_distance(self, gasket):
         form = form_for(gasket, "f_env")
         t = 0.7
-        assert evaluate_form(form, t, 0.0) == pytest.approx(
+        assert form.evaluate(t, 0.0) == pytest.approx(
             t ** (-gasket.hausdorff_dim / gasket.walk_dim)
         )
 
@@ -38,25 +39,25 @@ class TestForms:
         t = 2.0
         adw = 0.5 * gasket.walk_dim
         r = 0.5 * t ** (1.0 / adw)  # inside the near branch
-        assert evaluate_form(form, t, r) == pytest.approx(t ** (-gasket.hausdorff_dim / adw))
+        assert form.evaluate(t, r) == pytest.approx(t ** (-gasket.hausdorff_dim / adw))
 
     def test_h_env_flat_branch_exact(self, gasket):
         # from the crossover on, both max(., 1) branches collapse, so the
         # shape is exactly L^(-dM) * e^(-c) independently of t
         form = form_for(gasket, "h_env", M=1, c=0.8)
         lmdw = 5.0
-        val = evaluate_form(form, 2.0 * lmdw, 0.0)
+        val = form.evaluate(2.0 * lmdw, 0.0)
         assert val == pytest.approx(
             2.0 ** (-gasket.hausdorff_dim) * math.exp(-0.8), rel=1e-14
         )
-        assert evaluate_form(form, 7.0 * lmdw, 0.0) == val
+        assert form.evaluate(7.0 * lmdw, 0.0) == val
         # below the crossover the shape strictly exceeds its flat value
-        assert evaluate_form(form, 0.5 * lmdw, 0.0) != val
+        assert form.evaluate(0.5 * lmdw, 0.0) != val
 
     def test_f_env_strictly_decreasing_in_r(self, gasket):
         form = form_for(gasket, "f_env", c=0.7)
         rs = np.linspace(0, 3, 40)
-        vals = evaluate_form(form, 1.3, rs)
+        vals = form.evaluate(1.3, rs)
         assert np.all(np.diff(vals) < 0)
 
     def test_invalid_combinations_rejected(self, gasket):
@@ -67,7 +68,7 @@ class TestForms:
         with pytest.raises(BoundError):
             form_for(gasket, "no-such-form")
         with pytest.raises(BoundError):
-            evaluate_form(form_for(gasket, "f_env"), -1.0, 0.0)
+            form_for(gasket, "f_env").evaluate(-1.0, 0.0)
 
 
 class TestRegimeClassification:
@@ -93,7 +94,7 @@ class TestEnvelopeFitting:
         form = form_for(gasket, "relativistic_regime_2", c=1.3)
         ts = rng.uniform(0.1, 0.9, 300)
         rs = rng.uniform(1.0, 2.0, 300)
-        kern = evaluate_form(form, ts, rs)
+        kern = form.evaluate(ts, rs)
         report = fit_envelope_constants(kern, ts, rs, form.with_constant(1.0))
         assert report.spread == pytest.approx(1.0, abs=1e-4)
         assert report.fitted_c == pytest.approx(1.3, abs=1e-3)
@@ -144,6 +145,30 @@ class TestComparisonReports:
     def test_bracket_gate_raises(self, study):
         with pytest.raises(KernelError, match="window"):
             stable_comparison_reports(study, alpha=0.5, n_times=4, bracket_tol=0.01)
+
+    def test_bracket_matches_dense_blocks(self, study):
+        # the same seeded pairs read out of full reflected and killed blocks
+        spec = SubordinatorSpec("stable", 0.5)
+        t = 0.8
+        bracket = study.truncation_bracket(spec, [t], max_points=100, seed=5)
+        i, j = np.random.default_rng(5).choice(
+            np.flatnonzero(study.certifiable_mask()), size=(100, 2)
+        ).T
+        free = study.free_matrix(t, spec)[i, j]
+        killed = study.dirichlet()
+        position = {int(v): k for k, v in enumerate(killed.index_map)}
+        ki, kj = (np.array([position[int(v)] for v in study.sub_indices[a]]) for a in (i, j))
+        diri = killed.matrix(t, exponent=spec.laplace_exponent)[ki, kj]
+        width = (free - diri) / np.maximum(free, CLAMP)
+        assert bracket == pytest.approx(max(0.0, float(width.max())), rel=1e-12)
+
+    def test_bracket_rejects_a_killed_corner(self, study, monkeypatch):
+        corners = study.window_kernel.graph.corner_indices()
+        at_corner = np.isin(study.sub_indices, corners)
+        assert at_corner.any()
+        monkeypatch.setattr(study, "certifiable_mask", lambda: at_corner)
+        with pytest.raises(BoundError, match="corner"):
+            study.truncation_bracket(SubordinatorSpec("stable", 0.5), [1.0], max_points=5)
 
     def test_window_must_exceed_m(self, gasket, cache):
         with pytest.raises(BoundError):

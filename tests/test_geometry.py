@@ -7,7 +7,6 @@ from fractalheat import (
     build_system,
     build_vertex_graph,
     enumerate_cells,
-    essential_fixed_points,
     fixed_points,
     gasket_vertex_count,
     validate_snf,
@@ -23,7 +22,7 @@ def test_gasket_fixed_points(gasket):
 
 
 def test_gasket_essential_vertices_are_all_fixed_points(gasket):
-    assert set(essential_fixed_points(gasket)) == set(fixed_points(gasket))
+    assert set(gasket.essential_vertices) == set(fixed_points(gasket))
     assert gasket.n_essential == 3
 
 

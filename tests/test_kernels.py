@@ -23,6 +23,7 @@ from fractalheat.kernels import (
     absorbing_exit_time_embedded,
     fit_subgaussian_constants,
 )
+from fractalheat.subordinators import SubordinatorSpec
 
 
 class TestGenerator:
@@ -97,6 +98,37 @@ class TestSpectralKernel:
     def test_time_must_be_positive(self, gasket, cache):
         with pytest.raises(KernelError):
             cache.kernel(gasket, 0, 2).matrix(0.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [None, SubordinatorSpec("stable", 0.5), SubordinatorSpec("relativistic", 0.5, 1.0)],
+        ids=lambda s: "heat" if s is None else s.label(),
+    )
+    def test_value_pairs_match_matrix(self, gasket, cache, spec):
+        kern = cache.kernel(gasket, 0, 4)
+        exponent = None if spec is None else spec.laplace_exponent
+        i, j = np.random.default_rng(3).integers(0, kern.n, size=(2, 400))
+        for t in (0.1, 1.0, 10.0):
+            g = kern.matrix(t, exponent=exponent)
+            vals = kern.value(t, i, j, exponent)
+            assert vals.shape == (400,)
+            np.testing.assert_allclose(vals, g[i, j], rtol=1e-12, atol=0)
+            # index arrays broadcast: one row against every column
+            row = kern.value(t, 5, np.arange(kern.n), exponent)
+            np.testing.assert_allclose(row, g[5], rtol=1e-12, atol=0)
+
+    def test_scalar_value_is_float(self, gasket, cache):
+        kern = cache.kernel(gasket, 0, 3)
+        val = kern.value(1.0, 2, 7)
+        assert type(val) is float
+        assert val == pytest.approx(kern.matrix(1.0)[2, 7], rel=1e-12)
+
+    def test_matrix_rows_is_a_block_of_the_full_matrix(self, gasket, cache):
+        kern = cache.kernel(gasket, 1, 3)
+        rows = np.array([0, 4, 9, 30])
+        block = kern.matrix(0.7, rows=rows)
+        assert np.array_equal(block, block.T)
+        np.testing.assert_allclose(block, kern.matrix(0.7)[np.ix_(rows, rows)], rtol=1e-12)
 
 
 class TestReflectedKernel:
@@ -267,6 +299,29 @@ def test_subgaussian_fit_sane(gasket, cache):
     k3, k4, r2 = fit_subgaussian_constants(kern, [0.02, 0.05, 0.1])
     assert k3 > 0 and k4 > 0
     assert r2 > 0.5
+
+
+def test_subgaussian_fit_matches_per_pair_loop(gasket, cache):
+    # reference: the per-pair filter over a dense block, as the fit once ran
+    kern = cache.kernel(gasket, 2, 3)
+    graph = kern.graph
+    times = [0.02, 0.05, 0.1]
+    ds2 = gasket.hausdorff_dim / gasket.walk_dim
+    expo = 1.0 / (gasket.chemical_exp - 1.0)
+    dist = graph.distance_matrix()
+    rng = np.random.default_rng(0)
+    xs, ys = [], []
+    for t in times:
+        g = kern.matrix(t)
+        for i, j in rng.integers(0, graph.n_vertices, size=(400, 2)):
+            arg = (dist[i, j] ** gasket.walk_dim / t) ** expo
+            if g[i, j] > 1e-13 and 0.5 <= arg <= 12.0:
+                xs.append(arg)
+                ys.append(-np.log(g[i, j] * t**ds2))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    k3, k4, _ = fit_subgaussian_constants(kern, times)
+    assert k4 == pytest.approx(slope, rel=1e-9)
+    assert k3 == pytest.approx(np.exp(-intercept), rel=1e-9)
 
 
 def test_subgaussian_fit_slope_stable_across_depths(gasket, cache):

@@ -8,8 +8,6 @@ from fractalheat import (
     LabelingError,
     build_good_labeling,
     build_vertex_graph,
-    preimages_and_rank,
-    project_point,
     rotation_group,
 )
 from fractalheat.exact import Vec2
@@ -88,20 +86,20 @@ class TestProjection:
     def test_identity_on_base_complex(self, gasket):
         lm = build_good_labeling(gasket, 0, 2)
         for v in gasket.essential_vertices:
-            assert project_point(lm, v) == v
+            assert lm.project_point(v) == v
         inner = Vec2.of(Fraction(1, 4), 0)
-        assert project_point(lm, inner) == inner
+        assert lm.project_point(inner) == inner
 
     def test_idempotent(self, gasket):
         lm = build_good_labeling(gasket, 0, 2)
         x = Vec2.of(Fraction(3, 2), 0)  # inside a neighbor complex
-        y = project_point(lm, x)
-        assert project_point(lm, y) == y
+        y = lm.project_point(x)
+        assert lm.project_point(y) == y
 
     def test_outside_window_rejected(self, gasket):
         lm = build_good_labeling(gasket, 0, 1)
         with pytest.raises(LabelingError):
-            project_point(lm, Vec2.of(10, 10))
+            lm.project_point(Vec2.of(10, 10))
 
     def test_boundary_vertex_consistent_between_complexes(self, gasket):
         lm = build_good_labeling(gasket, 0, 2)
@@ -129,13 +127,13 @@ class TestProjection:
 class TestPreimages:
     def test_nonvertex_point_has_one_preimage_per_complex(self, gasket):
         lm = build_good_labeling(gasket, 0, 1)
-        pre, ranks = preimages_and_rank(lm, Vec2.of(Fraction(1, 8), 0))
+        pre, ranks = lm.preimages_and_rank(Vec2.of(Fraction(1, 8), 0))
         assert len(pre) == 3
         assert ranks is None
 
     def test_junction_rank_two(self, gasket):
         lm = build_good_labeling(gasket, 0, 1)
-        pre, ranks = preimages_and_rank(lm, Vec2.of(1, 0))
+        pre, ranks = lm.preimages_and_rank(Vec2.of(1, 0))
         assert ranks is not None
         junctions = [p for p, r in ranks.items() if r == 2]
         corners = [p for p, r in ranks.items() if r == 1]
@@ -143,7 +141,7 @@ class TestPreimages:
 
     def test_window_corner_rank_one(self, gasket):
         lm = build_good_labeling(gasket, 0, 1)
-        pre, ranks = preimages_and_rank(lm, Vec2.ZERO)
+        pre, ranks = lm.preimages_and_rank(Vec2.ZERO)
         assert ranks[Vec2.ZERO] == 1
 
     def test_measure_preserving_fold(self, gasket, cache):

@@ -128,6 +128,22 @@ class TestPipeline:
             rows = path.read_text().splitlines()[1:]
             assert len(rows) == cfg.n_times * pairs, path.name
 
+    def test_table_rows_match_kernel_matrix(self, quick_run):
+        cfg, _ = quick_run
+        kern = KernelCache(directory=cfg.out_dir / "cache").kernel(cfg.system, cfg.M, cfg.n)
+        exponents = {None: None}
+        exponents.update((spec.label(), spec.laplace_exponent) for spec in cfg.subordinators)
+        checked = 0
+        for path in sorted((cfg.out_dir / "tables").glob("*.csv")):
+            for line in path.read_text().splitlines()[1:]:
+                fields = line.split(",", 6)
+                t, i, j, value = float(fields[2]), int(fields[3]), int(fields[4]), float(fields[5])
+                exponent = exponents[fields[6] if len(fields) > 6 else None]
+                expected = kern.matrix(t, exponent=exponent)[i, j]
+                assert value == pytest.approx(expected, rel=1e-12), (path.name, line)
+                checked += 1
+        assert checked == (1 + len(cfg.subordinators)) * len(cfg.kernel_times) * cfg.table_pairs
+
     def test_failed_run_leaves_no_manifest(self, tmp_path, monkeypatch):
         cfg = load_run_config(_quick_config(tmp_path))
         run_pipeline(cfg)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fractalheat import crosscheck_subordination, subordinate_quadrature, subordinate_spectral, subordinate_value
+from fractalheat import crosscheck_subordination, subordinate_quadrature, subordinate_spectral
 from fractalheat.kernels import KernelError, SpectralKernel
 from fractalheat.subordinators import SubordinatorSpec
 
@@ -42,7 +42,7 @@ class TestSpectralMapping:
     def test_time_validation(self, gasket, cache):
         kern = cache.kernel(gasket, 0, 2)
         with pytest.raises(KernelError):
-            subordinate_value(kern, STABLE, -1.0, 0, 0)
+            kern.value(-1.0, 0, 0, exponent=STABLE.laplace_exponent)
 
 
 class TestQuadratureEquivalence:
@@ -70,7 +70,7 @@ class TestQuadratureEquivalence:
     def test_error_estimate_reported(self, gasket, cache):
         kern = cache.kernel(gasket, 0, 3)
         res = subordinate_quadrature(kern, STABLE, 1.0, 0, 5)
-        direct = subordinate_value(kern, STABLE, 1.0, 0, 5)
+        direct = kern.value(1.0, 0, 5, exponent=STABLE.laplace_exponent)
         assert abs(res.value - direct) <= max(10 * res.error_estimate, 1e-9)
 
     def test_killed_kernel_routes_agree(self, gasket, cache):
@@ -79,7 +79,7 @@ class TestQuadratureEquivalence:
         kern = cache.kernel(gasket, 1, 3, "dirichlet")
         for i, j in [(0, 0), (3, 17)]:
             quadval = subordinate_quadrature(kern, STABLE, 1.0, i, j).value
-            direct = subordinate_value(kern, STABLE, 1.0, i, j)
+            direct = kern.value(1.0, i, j, exponent=STABLE.laplace_exponent)
             assert quadval == pytest.approx(direct, rel=1e-9)
 
 
@@ -97,7 +97,8 @@ class TestFlatApproach:
         i, j = np.unravel_index(np.argmax(np.abs(amp)), amp.shape)
         ts = np.linspace(3.0, 6.0, 8) / phi1
         vals = [
-            subordinate_value(kern, STABLE, float(t), int(i), int(j)) - kern.flat_value
+            kern.value(float(t), int(i), int(j), exponent=STABLE.laplace_exponent)
+            - kern.flat_value
             for t in ts
         ]
         slope = np.polyfit(ts, np.log(np.abs(vals)), 1)[0]

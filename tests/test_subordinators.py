@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalheat.subordinators import (
+    _SERIES_EPS_SWITCH,
     SubordinatorError,
     SubordinatorSpec,
     fit_tail_constants,
@@ -13,7 +14,6 @@ from fractalheat.subordinators import (
     laplace_transform_numeric,
     relativistic_density,
     stable_density,
-    stable_density_direct,
     stable_density_unit,
     stable_quantile,
     stable_tail_constant,
@@ -80,12 +80,14 @@ class TestStableDensity:
             integral = stable_density_unit(0.5, x)
             assert integral == pytest.approx(closed, rel=1e-9)
 
-    def test_scaling_identity_direct_vs_unit(self):
-        # two independent evaluations of the self-similarity relation
-        for t, s in [(0.5, 0.3), (2.0, 1.7), (1.3, 5.0), (0.25, 0.9)]:
-            lhs = stable_density_direct(0.7, t, s)
-            rhs = t ** (-1 / 0.7) * stable_density_unit(0.7, s * t ** (-1 / 0.7))
-            assert lhs == pytest.approx(rhs, rel=1e-8)
+    def test_scaling_identity_through_transform(self):
+        # stable_density builds eta_t from eta_1 by the self-similarity
+        # eta_t(s) = t^(-1/alpha) eta_1(s t^(-1/alpha)); when that holds, the
+        # transform at lambda = 1 is exp(-t * 1^alpha) at every t
+        spec = SubordinatorSpec("stable", 0.7)
+        for t in (0.5, 2.0):
+            transform = laplace_transform_numeric(spec, t, 1.0)
+            assert abs(transform - math.exp(-t)) <= 1e-10
 
     def test_nonpositive_arguments_rejected(self):
         with pytest.raises(SubordinatorError):
@@ -168,10 +170,19 @@ class TestTails:
         assert max(uppers) / min(uppers) <= 1.1
 
     def test_series_matches_integral_far_tail(self):
+        # these arguments are past the series switch, so the unit density
+        # returns the series: agreement checks the two series codes
         for alpha, u in [(0.3, 2e4), (0.7, 50.0), (0.7, 500.0)]:
             series = stable_tail_series(alpha, u)
             integral = stable_density_unit(alpha, u)
             assert integral == pytest.approx(series, rel=1e-9)
+        # these are before the switch, so the Kanter integral runs; the
+        # series converges there with enough terms
+        for alpha, u in [(0.3, 10.0), (0.3, 20.0), (0.7, 1.5)]:
+            assert u ** (-alpha / (1.0 - alpha)) >= _SERIES_EPS_SWITCH
+            series = stable_tail_series(alpha, u, terms=40)
+            integral = stable_density_unit(alpha, u)
+            assert integral == pytest.approx(series, rel=1e-12)
 
     def test_tail_constant_formula(self):
         assert stable_tail_constant(0.5) == pytest.approx(1 / (2 * math.sqrt(math.pi)))
