@@ -25,23 +25,18 @@ from .labeling import (
     rotation_group,
 )
 from .kernels import (
-    FreeKernelApprox,
     Generator,
     KernelCache,
     KernelError,
-    KernelTable,
     ScalingCheck,
     SpectralKernel,
-    TruncationError,
     WalkDimensionEstimate,
     build_generator,
     check_scaling_property,
     default_cache,
     estimate_walk_dimension,
     folding_crosscheck,
-    reflected_kernel,
     spectral_decompose,
-    unbounded_kernel_truncated,
 )
 from .subordinators import (
     DensityVerification,
@@ -58,7 +53,6 @@ from .subordinate import (
     EquivalenceReport,
     crosscheck_subordination,
     subordinate_quadrature,
-    subordinate_spectral,
 )
 from .bounds import (
     BoundError,

@@ -33,6 +33,7 @@ from .subordinators import SubordinatorSpec
 
 CLAMP = 1e-14  # ratio statistics only; raw kernel values are never clamped
 PLOT_PAIRS = 50  # folded-graph pairs a report samples at each of its times
+SUB_UNIT_END = 0.95  # last time of the sub-unit grid of relativistic regimes 2, 3
 
 
 class BoundError(ValueError):
@@ -497,9 +498,10 @@ def _ratio_stats_over_times(
     pairs: np.ndarray,
     pos: np.ndarray,
 ):
-    """Global min/max of folded/denominator over (t, all folded pairs),
-    streamed per t, with the plot samples at ``pairs``."""
-    gmin, gmax = np.inf, -np.inf
+    """Global min/max of folded/denominator and the largest
+    denominator - folded over (t, all folded pairs), streamed per t, with the
+    plot samples at ``pairs``."""
+    gmin, gmax, gap = np.inf, -np.inf, -np.inf
     samples: list[tuple] = []
     lmd = float(study.system.L) ** (study.M * study.system.hausdorff_dim)
     for t in times:
@@ -513,8 +515,11 @@ def _ratio_stats_over_times(
         ratio = np.maximum(num, CLAMP) / np.maximum(den, CLAMP)
         gmin = min(gmin, float(ratio.min()))
         gmax = max(gmax, float(ratio.max()))
+        gap = max(gap, float((den - num).max()))
         samples += _samples(t, pairs, pos, num, den, ratio)
-    return gmin, gmax, samples
+        # free this time's blocks before the next time's are computed
+        del num, den, ratio
+    return gmin, gmax, gap, samples
 
 
 def stable_comparison_reports(
@@ -551,7 +556,7 @@ def stable_comparison_reports(
             f"increase the window level beyond {study.window}"
         )
 
-    near_min, near_max, near_samples = _ratio_stats_over_times(
+    near_min, near_max, _, near_samples = _ratio_stats_over_times(
         study, spec, near_times, "free", pairs, pos
     )
     near = BoundReport(
@@ -564,7 +569,7 @@ def stable_comparison_reports(
         extras={"truncation_bracket": bracket, "crossover": crossover},
         samples=near_samples,
     )
-    flat_min, flat_max, flat_samples = _ratio_stats_over_times(
+    flat_min, flat_max, _, flat_samples = _ratio_stats_over_times(
         study, spec, flat_times, "flat", pairs, pos
     )
     flat = BoundReport(
@@ -610,7 +615,7 @@ def relativistic_comparison_reports(
     pairs, pos = _plot_pairs(n_pairs, seed)
 
     flat_times = log_time_grid(crossover, crossover * flat_span, n_times)
-    flat_min, flat_max, flat_samples = _ratio_stats_over_times(
+    flat_min, flat_max, _, flat_samples = _ratio_stats_over_times(
         study, spec, flat_times, "flat", pairs, pos
     )
     reports = {
@@ -628,15 +633,9 @@ def relativistic_comparison_reports(
 
     # pointwise lower domination: free <= folded + tol below the crossover
     dom_times = log_time_grid(t_min, crossover * 0.98, n_times)
-    worst_violation = -np.inf
-    dom_samples: list[tuple] = []
-    for t in dom_times:
-        folded = study.folded_matrix(t, spec)
-        free = study.free_matrix(t, spec)
-        worst_violation = max(worst_violation, float((free - folded).max()))
-        k, f = folded.ravel()[pos], free.ravel()[pos]
-        ratio = np.maximum(k, CLAMP) / np.maximum(f, CLAMP)
-        dom_samples += _samples(t, pairs, slice(None), k, f, ratio)
+    _, _, worst_violation, dom_samples = _ratio_stats_over_times(
+        study, spec, dom_times, "free", pairs, pos
+    )
     reports["domination"] = BoundReport(
         claim=f"relativistic-domination[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
         regime="domination",
@@ -715,7 +714,7 @@ def relativistic_comparison_reports(
         reports["regime1"] = regime_report(
             "regime1", regime1_times, None, "relativistic_regime_1"
         )
-    sub_times = log_time_grid(t_min, 0.95, n_times)
+    sub_times = log_time_grid(t_min, SUB_UNIT_END, n_times)
     far = dist >= 1.0
     if far.any():
         reports["regime2"] = regime_report(

@@ -22,7 +22,6 @@ _BLAS_VARS = (
 )
 
 _SUBCOMMAND_STAGE = {
-    "validate-fractal": "validate",
     "build-kernel": "spectral",
     "subordinate": "subordinate",
     "verify-bounds": "verify",
@@ -51,12 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config (INI)")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument(
-            "--stage",
-            default=None,
-            help="run stages up to this one (validate, labeling, spectral, "
-            "subordinate, verify, report)",
-        )
     return parser
 
 
@@ -84,7 +77,7 @@ def main(argv=None) -> int:
             return 0 if report.ok else 1
 
         config = load_run_config(args.config, out_override=args.out)
-        stage = args.stage or _SUBCOMMAND_STAGE[args.command]
+        stage = _SUBCOMMAND_STAGE[args.command]
         from .pipeline import run_pipeline
 
         manifest = run_pipeline(config, last_stage=stage)

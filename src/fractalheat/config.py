@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from .bounds import SUB_UNIT_END
 from .exact import Vec2, parse_q3
 from .geometry import FractalSystem, build_system
 from .subordinators import SubordinatorSpec
@@ -157,8 +158,14 @@ class RunConfig:
             raise ConfigError("at least one subordinator spec required")
         if self.metric not in ("geodesic", "euclidean"):
             raise ConfigError(f"unknown metric {self.metric!r}")
-        if self.t_min <= 0:
-            raise ConfigError("t_min must be positive")
+        if not (0 < self.t_min < SUB_UNIT_END):
+            raise ConfigError(f"t_min must be in (0, {SUB_UNIT_END}), got {self.t_min}")
+        if self.n_times < 1:
+            raise ConfigError(f"n_times must be at least 1, got {self.n_times}")
+        if self.flat_span <= 1:
+            raise ConfigError(f"flat_span must exceed 1, got {self.flat_span}")
+        if any(t <= 0 for t in self.kernel_times):
+            raise ConfigError(f"kernel_times must be positive, got {self.kernel_times}")
 
 
 def load_run_config(path: str | Path, out_override=None) -> RunConfig:

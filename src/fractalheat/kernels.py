@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,6 @@ _TRUNCATION_EXPONENT = 60.0
 
 class KernelError(RuntimeError):
     pass
-
-
-class TruncationError(KernelError):
-    """The requested window cannot represent the unbounded kernel to the
-    demanded tail tolerance."""
 
 
 @dataclass
@@ -90,7 +85,6 @@ class SpectralKernel:
     mu: np.ndarray
     conservative: bool = True
     index_map: np.ndarray | None = None  # rows of `graph` kept (killed kernels)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.sqrt_mu = np.sqrt(self.mu)
@@ -326,163 +320,6 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
         mu=mu,
         conservative=False,
         index_map=keep,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Named kernel constructors
-
-
-@dataclass
-class KernelTable:
-    """Materialized kernel values on a time grid (densities w.r.t. measure)."""
-
-    graph: VertexGraph
-    times: tuple[float, ...]
-    values: np.ndarray  # [len(times), n, n]
-    kernel: SpectralKernel
-    subordinator: str | None = None
-
-    def at(self, t_index: int) -> np.ndarray:
-        return self.values[t_index]
-
-
-def reflected_kernel(
-    system: FractalSystem,
-    M: int,
-    depth: int,
-    times,
-    cache: KernelCache | None = None,
-) -> KernelTable:
-    """Reflected-walk density table on the compact graph of ``K<<M>>``.
-
-    The compact-graph walk *is* the folded walk, so no explicit reflection
-    step is needed.
-    """
-    cache = cache or _DEFAULT_CACHE
-    kern = cache.kernel(system, M, depth, "neumann")
-    times = tuple(float(t) for t in times)
-    for t in times:
-        if t <= 0:
-            raise KernelError(f"time must be positive, got {t}")
-    values = np.stack([kern.matrix(t) for t in times])
-    return KernelTable(graph=kern.graph, times=times, values=values, kernel=kern)
-
-
-@dataclass
-class FreeKernelApprox:
-    """Window approximation of the unbounded-fractal kernel."""
-
-    kernel: SpectralKernel
-    window: int
-    bc: str
-    tail_bound: float
-    fitted_prefactor: float
-    fitted_decay: float
-
-    def graph(self) -> VertexGraph:
-        return self.kernel.graph
-
-
-def fit_subgaussian_constants(
-    kernel: SpectralKernel,
-    times,
-    sample_size: int = 400,
-    seed: int = 0,
-    arg_window: tuple[float, float] = (0.5, 12.0),
-) -> tuple[float, float, float]:
-    """Least-squares fit of ``g ~ K3 t^(-ds/2) exp(-K4 (r^dw/t)^(1/(dJ-1)))``.
-
-    Returns (K3, K4, r_squared).  The fit is restricted to a fixed window of
-    the decay argument so estimates are comparable across graph depths.
-    """
-    graph = kernel.graph
-    system = graph.system
-    ds2 = system.hausdorff_dim / system.walk_dim
-    expo = 1.0 / (system.chemical_exp - 1.0)
-    rng = np.random.default_rng(seed)
-    n = graph.n_vertices
-    xs_feat = []
-    ys_feat = []
-    dist = graph.distance_matrix()
-    for t in times:
-        i, j = rng.integers(0, n, size=(sample_size, 2)).T
-        val = kernel.value(t, i, j)
-        arg = (dist[i, j] ** system.walk_dim / t) ** expo
-        ok = (val > 1e-13) & (arg_window[0] <= arg) & (arg <= arg_window[1])
-        xs_feat.append(arg[ok])
-        ys_feat.append(-np.log(val[ok] * t**ds2))
-    x = np.concatenate(xs_feat)
-    y = np.concatenate(ys_feat)
-    if x.size < 10:
-        raise KernelError("too few samples in the decay-argument window")
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    k4 = float(coef[0])
-    k3 = float(np.exp(-coef[1]))
-    resid = y - a @ coef
-    ss_tot = float(((y - y.mean()) ** 2).sum()) or 1.0
-    r2 = 1.0 - float((resid**2).sum()) / ss_tot
-    return k3, k4, r2
-
-
-def unbounded_kernel_truncated(
-    system: FractalSystem,
-    window: int,
-    depth: int,
-    times,
-    bc: str = "neumann",
-    tail_tol: float = 1e-6,
-    cache: KernelCache | None = None,
-) -> FreeKernelApprox:
-    """Approximate the unbounded-fractal kernel on ``K<<window>>``.
-
-    Valid for points deep inside the window; the admission criterion is that
-    the fitted sub-Gaussian tail mass beyond distance ``L^window / 2`` stays
-    below ``tail_tol`` for the largest requested time.  The fitted bound is
-    recorded on the result.
-    """
-    cache = cache or _DEFAULT_CACHE
-    kern = cache.kernel(system, window, depth, bc)
-    times = tuple(float(t) for t in times)
-    t_max = max(times)
-    fit_times = [t_max / 4.0, t_max / 2.0, t_max]
-    neumann = kern if bc == "neumann" else cache.kernel(system, window, depth, "neumann")
-    k3, k4, _ = fit_subgaussian_constants(neumann, fit_times)
-    radius = float(system.L) ** window / 2.0
-    ds2 = system.hausdorff_dim / system.walk_dim
-    expo = 1.0 / (system.chemical_exp - 1.0)
-    n_total = float(system.n_maps) ** window
-    bound = (
-        k3
-        * t_max ** (-ds2)
-        * np.exp(-k4 * (radius**system.walk_dim / t_max) ** expo)
-        * n_total
-    )
-    if bound > tail_tol:
-        needed = window
-        while needed < window + 8:
-            needed += 1
-            r2 = float(system.L) ** needed / 2.0
-            b2 = (
-                k3
-                * t_max ** (-ds2)
-                * np.exp(-k4 * (r2**system.walk_dim / t_max) ** expo)
-                * float(system.n_maps) ** needed
-            )
-            if b2 <= tail_tol:
-                break
-        raise TruncationError(
-            f"window level {window} keeps tail mass {bound:.3e} > {tail_tol:.1e} "
-            f"at t = {t_max}; increase the window to about {needed}"
-        )
-    return FreeKernelApprox(
-        kernel=kern,
-        window=window,
-        bc=bc,
-        tail_bound=float(bound),
-        fitted_prefactor=k3,
-        fitted_decay=k4,
     )
 
 

@@ -15,26 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .kernels import KernelError, KernelTable, SpectralKernel
+from .kernels import KernelError, SpectralKernel
 from .subordinators import QUAD_OPTS, SubordinatorSpec
-
-
-def subordinate_spectral(
-    kernel: SpectralKernel,
-    spec: SubordinatorSpec,
-    times,
-) -> KernelTable:
-    """Subordinate kernel table via eigenvalue mapping (no density quadrature)."""
-    times = tuple(float(t) for t in times)
-    exponent = spec.laplace_exponent
-    values = np.stack([kernel.matrix(t, exponent=exponent) for t in times])
-    return KernelTable(
-        graph=kernel.graph,
-        times=times,
-        values=values,
-        kernel=kernel,
-        subordinator=spec.label(),
-    )
 
 
 @dataclass(frozen=True)

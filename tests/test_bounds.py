@@ -12,6 +12,7 @@ from fractalheat.bounds import (
     classify_regime,
     fit_envelope_constants,
     form_for,
+    log_time_grid,
     refinement_stability,
     relativistic_comparison_reports,
     sandwich_check_f,
@@ -141,6 +142,16 @@ class TestComparisonReports:
         fine_reports = stable_comparison_reports(fine, alpha=0.5, n_times=6)
         for name in ("near", "flat"):
             assert refinement_stability(coarse_reports[name], fine_reports[name]) <= 0.5
+
+    def test_domination_matches_dense_blocks(self, gasket, study):
+        spec = SubordinatorSpec("relativistic", 0.5, 1.0)
+        reports = relativistic_comparison_reports(study, alpha=0.5, m=1.0, n_times=5)
+        crossover = float(gasket.L) ** (study.M * gasket.walk_dim)
+        expected = max(
+            float((study.free_matrix(t, spec) - study.folded_matrix(t, spec)).max())
+            for t in log_time_grid(0.1, 0.98 * crossover, 5)
+        )
+        assert reports["domination"].extras["max_violation"] == expected
 
     def test_bracket_gate_raises(self, study):
         with pytest.raises(KernelError, match="window"):

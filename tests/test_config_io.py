@@ -106,6 +106,10 @@ class TestRunConfig:
             "n = 0",
             "window = 0",
             "metric = manhattan",
+            "n_times = 0",
+            "flat_span = 1",
+            "t_min = 0.95",
+            "kernel_times = 0.5,0,2",
         ],
     )
     def test_validation_rejects(self, tmp_path, patch):

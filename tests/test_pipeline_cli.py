@@ -250,12 +250,16 @@ class TestCli:
         assert "connectivity: pass" in proc.stdout
 
     def test_stage_flag_limits_outputs(self, tmp_path):
+        # the subcommand chooses the last stage; there is no --stage flag
         cfg = _quick_config(tmp_path)
         proc = self._run(
-            "report", "--config", str(cfg), "--out", str(tmp_path / "s"),
+            "report", "--config", str(cfg), "--out", str(tmp_path / "x"),
             "--stage", "spectral",
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 2
+        assert not (tmp_path / "x").exists()
+        proc = self._run("build-kernel", "--config", str(cfg), "--out", str(tmp_path / "s"))
+        assert proc.returncode == 0, proc.stderr
         names = {p.name for p in (tmp_path / "s").rglob("*") if p.is_file()}
         assert any(n.startswith("heat_") for n in names)
         assert "bounds.json" not in names
