@@ -161,7 +161,7 @@ def test_criterion_05_subordinator_oracle():
         5,
         "subordinator oracle",
         rep_half.max_rel_transform_error <= 1e-6
-        and worst_general <= 1e-3
+        and worst_general <= 1e-12
         and norm_ok
         and elapsed < 60.0,
         f"transform residual {rep_half.max_rel_transform_error:.1e} (a=1/2), "
