@@ -633,9 +633,6 @@ class VertexGraph:
     def index_of(self, point: Vec2) -> int:
         return self.point_index[point]
 
-    def contains_point(self, point: Vec2) -> bool:
-        return point in self.point_index
-
     def corner_indices(self) -> list[int]:
         """Indices of the global corners of ``K<<M>>``."""
         scale = self.system.L**self.M

@@ -375,10 +375,6 @@ class WalkDimensionEstimate:
     estimate: float
     L: float
 
-    @property
-    def ratio_limit(self) -> float:
-        return float(self.L) ** self.estimate
-
 
 def absorbing_exit_time(
     graph: VertexGraph, start: int, absorbing: list[int]

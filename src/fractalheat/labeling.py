@@ -131,9 +131,6 @@ class LabelMap:
     def alphabet_size(self) -> int:
         return self.group.order
 
-    def complex_for_word(self, word: tuple[int, ...]) -> ComplexInfo:
-        return self._by_word[word]
-
     def __post_init__(self):
         self._by_word = {c.word: c for c in self.complexes}
         self._hulls = {

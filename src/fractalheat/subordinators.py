@@ -23,11 +23,11 @@ a eps - a(0) eps reaches 1 (past the peak of the integrand) and 40 (past
 which it is below rounding), and two fixed 64-node Gauss-Legendre panels
 between 0 and those two angles integrate it to rounding.  Where
 ``eps < 0.2`` the peak is a thin layer next to pi and the convergent
-large-argument series takes over.  The transform check integrates the
-density on Gauss-Legendre panels in log s, with one density call per
-transform.  Adaptive scalar ``quad`` stays only where an independent
-reference is wanted: the subordinate-kernel cross-check in ``subordinate.py``
-and the tests.
+large-argument series takes over.  The transform check and the
+subordinate-kernel cross-check in ``subordinate.py`` integrate against the
+density on the same Gauss-Legendre panels in log s, with one density call
+per integral.  Adaptive scalar ``quad`` stays only in the tests, as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from scipy.integrate import quad  # noqa: F401
 from scipy.special import gamma as _gamma
 from scipy.special import gammaln as _gammaln
 
-QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-9, limit=200)
 _EXP_UNDERFLOW = 745.0
 
 
@@ -326,18 +325,20 @@ def stable_tail_constant(alpha: float) -> float:
 # Transform verification
 
 
-def laplace_transform_numeric(spec: SubordinatorSpec, t: float, lam: float) -> float:
-    """``int exp(-lambda s) eta_t(ds)`` on Gauss-Legendre panels in log s.
+def _transform_panels(spec: SubordinatorSpec, t: float, lam: float):
+    """Nodes ``s`` and weights ``w`` for ``int h(s) eta_t(ds)`` where ``h(s)``
+    is smooth and decays like ``exp(-lam s)``: the integral is
+    ``sum(w * s * h(s) * eta_t(s))``.  Gauss-Legendre panels in log s, one
+    row of 64 nodes per panel; no rows when the integrand underflows
+    everywhere.
 
     The panels start where the density underflows and stop where
     ``exp(-(lambda + m^(1/alpha)) s)`` does; for ``lambda = 0`` on a stable
     spec they stop where the tail mass ``c t s^(-alpha) / alpha`` falls below
     1e-16.  They break at multiples of the scale ``t^(1/alpha)``, of the
     saddle of the tilted integrand and at ``1/lambda``, and none is wider
-    than a decade.  The density is evaluated once, on all nodes.
+    than a decade.
     """
-    if lam < 0:
-        raise SubordinatorError("transform requires lambda >= 0")
     alpha = spec.alpha
     ratio = alpha / (1.0 - alpha)
     scale = t ** (1.0 / alpha)
@@ -348,7 +349,7 @@ def laplace_transform_numeric(spec: SubordinatorSpec, t: float, lam: float) -> f
     else:
         hi = scale * (stable_tail_constant(alpha) / (alpha * 1e-16)) ** (1.0 / alpha)
     if hi <= lo:
-        return 0.0
+        return np.empty((0, _GL_NODES.size)), np.empty((0, _GL_NODES.size))
     breaks = {scale * q for q in (0.01, 0.1, 1.0, 10.0)}
     if lam > 0:
         saddle = t * alpha * (lam + shift) ** (alpha - 1.0)
@@ -360,7 +361,15 @@ def laplace_transform_numeric(spec: SubordinatorSpec, t: float, lam: float) -> f
         edges.append(np.linspace(a, b, math.ceil((b - a) / math.log(10.0)) + 1)[1:])
     edges = np.concatenate(edges)
     u, w = _gl_panels(edges[:-1], edges[1:])
-    s = np.exp(u)
+    return np.exp(u), w
+
+
+def laplace_transform_numeric(spec: SubordinatorSpec, t: float, lam: float) -> float:
+    """``int exp(-lambda s) eta_t(ds)`` on the panels of ``_transform_panels``,
+    with one density call on all nodes."""
+    if lam < 0:
+        raise SubordinatorError("transform requires lambda >= 0")
+    s, w = _transform_panels(spec, t, lam)
     return float(np.sum(w * s * np.exp(-lam * s) * spec.density(t, s)))
 
 
@@ -406,12 +415,10 @@ def fit_tail_constants(
     dens = stable_density(alpha, t, us)
     ratio = dens * us ** (1.0 + alpha) / t
     within = (ratio >= limit / 2.0) & (ratio <= limit * 2.0)
-    idx = None
-    for k in range(len(us)):
-        if within[k:].all():
-            idx = k
-            break
-    if idx is None:
+    # the first index from which every later point is within
+    outside = np.flatnonzero(~within)
+    idx = outside[-1] + 1 if outside.size else 0
+    if idx == len(us):
         return TailFit(float("nan"), float("inf"), float("inf"), limit)
     tail_ratio = ratio[idx:]
     return TailFit(

@@ -179,7 +179,7 @@ def test_criterion_06_subordination_equivalence(gasket, cache):
             kern, spec, times=[0.3, 1.0, 3.0], n_samples=20, seed=11
         )
         worst[spec.label()] = rep.max_rel_error
-    ok = all(v <= 1e-3 for v in worst.values())
+    ok = all(v <= 1e-12 for v in worst.values())
     elapsed = time.perf_counter() - t0
     _line(
         6,

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fractalheat import crosscheck_subordination, subordinate_quadrature
 from fractalheat.kernels import KernelError, SpectralKernel
@@ -7,6 +10,11 @@ from fractalheat.subordinators import SubordinatorSpec
 
 STABLE = SubordinatorSpec("stable", 0.5)
 RELATIVISTIC = SubordinatorSpec("relativistic", 0.5, 1.0)
+GENERAL = [
+    SubordinatorSpec("stable", 0.3),
+    SubordinatorSpec("stable", 0.7),
+    SubordinatorSpec("relativistic", 0.7, 1.0),
+]
 
 
 class TestSpectralMapping:
@@ -40,15 +48,41 @@ class TestSpectralMapping:
             kern.value(-1.0, 0, 0, exponent=STABLE.laplace_exponent)
 
 
+def _adaptive_quad_route(kernel, spec, t, i, j):
+    """``int g(u,x,y) eta_t(du)`` by adaptive scalar ``quad`` at epsrel 1e-9,
+    one kernel value and one density value per point, split where
+    ``g - flat`` has decayed to 1e-15 of its amplitude; the route the panel
+    quadrature replaced."""
+    flat = kernel.flat_value
+    lam1 = float(kernel.eigenvalues[1])
+    amp = float(
+        np.abs(kernel.psi[i, 1:] * kernel.psi[j, 1:]).sum()
+        / (kernel.sqrt_mu[i] * kernel.sqrt_mu[j])
+    )
+    u_split = math.log(max(amp / (max(flat, amp) * 1e-15), 2.0)) / lam1
+
+    def integrand(u):
+        dens = spec.density(t, u)
+        return 0.0 if dens == 0.0 else (kernel.value(u, i, j) - flat) * dens
+
+    scale = t ** (1.0 / spec.alpha)
+    breaks = sorted(
+        {b for b in (scale * 0.01, scale * 0.1, scale, u_split / 10.0) if 0 < b < u_split}
+    )
+    total = 0.0
+    for lo, hi in zip([0.0] + breaks, breaks + [u_split]):
+        total += quad(integrand, lo, hi, epsabs=1e-300, epsrel=1e-9, limit=200)[0]
+    return total + flat
+
+
 class TestQuadratureEquivalence:
     @pytest.mark.parametrize("spec", [STABLE, RELATIVISTIC], ids=lambda s: s.label())
     def test_two_routes_agree(self, gasket, cache, spec):
         kern = cache.kernel(gasket, 0, 4)
-        tol = 1e-4 if spec.kind == "stable" else 1e-3
         report = crosscheck_subordination(
             kern, spec, times=[0.3, 1.0, 3.0], n_samples=10, seed=5
         )
-        assert report.max_rel_error <= tol
+        assert report.max_rel_error <= 1e-12
 
     def test_constant_kernel_returns_constant(self):
         c = 0.37
@@ -59,23 +93,43 @@ class TestQuadratureEquivalence:
             mu=np.array([1.0 / c]),
         )
         res = subordinate_quadrature(kern, STABLE, 1.0, 0, 0)
-        assert res.value == c
-        assert res.error_estimate == 0.0
+        assert isinstance(res, float)
+        assert res == c
 
-    def test_error_estimate_reported(self, gasket, cache):
+    def test_single_value_matches_spectral(self, gasket, cache):
         kern = cache.kernel(gasket, 0, 3)
         res = subordinate_quadrature(kern, STABLE, 1.0, 0, 5)
         direct = kern.value(1.0, 0, 5, exponent=STABLE.laplace_exponent)
-        assert abs(res.value - direct) <= max(10 * res.error_estimate, 1e-9)
+        assert res == pytest.approx(direct, rel=1e-12)
 
     def test_killed_kernel_routes_agree(self, gasket, cache):
         # non-conservative kernels decay from their bottom eigenvalue; the
-        # quadrature tail split must respect that
+        # panels must reach where that mode has died out, long times included
         kern = cache.kernel(gasket, 1, 3, "dirichlet")
-        for i, j in [(0, 0), (3, 17)]:
-            quadval = subordinate_quadrature(kern, STABLE, 1.0, i, j).value
-            direct = kern.value(1.0, i, j, exponent=STABLE.laplace_exponent)
-            assert quadval == pytest.approx(direct, rel=1e-9)
+        for t in (1.0, 30.0):
+            for i, j in [(0, 0), (3, 17)]:
+                quadval = subordinate_quadrature(kern, STABLE, t, i, j)
+                direct = kern.value(t, i, j, exponent=STABLE.laplace_exponent)
+                assert quadval == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", GENERAL, ids=lambda s: s.label())
+    def test_general_alpha_matches_spectral(self, gasket, cache, spec):
+        for kind in ("neumann", "dirichlet"):
+            kern = cache.kernel(gasket, 1, 3, kind)
+            for t in (0.3, 1.0, 3.0, 30.0):
+                for i, j in [(0, 0), (3, 17), (40, 99)]:
+                    quadval = subordinate_quadrature(kern, spec, t, i, j)
+                    direct = kern.value(t, i, j, exponent=spec.laplace_exponent)
+                    assert quadval == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", GENERAL, ids=lambda s: s.label())
+    def test_general_alpha_matches_adaptive_quad_route(self, gasket, cache, spec):
+        kern = cache.kernel(gasket, 0, 3)
+        for t, (i, j) in [(0.3, (0, 0)), (1.0, (3, 17)), (3.0, (10, 30))]:
+            ref = _adaptive_quad_route(kern, spec, t, i, j)
+            assert subordinate_quadrature(kern, spec, t, i, j) == pytest.approx(
+                ref, rel=1e-8
+            )
 
 
 class TestFlatApproach:

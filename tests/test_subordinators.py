@@ -254,6 +254,28 @@ class TestTails:
             assert _kanter_density(alpha, u) == pytest.approx(series, rel=1e-12)
             assert stable_density_unit(alpha, u) == pytest.approx(series, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha, decades", [(0.3, 5.0), (0.7, 5.0), (0.5, 1.0), (0.3, -0.3)]
+    )
+    def test_threshold_matches_first_index_loop(self, alpha, decades):
+        # the threshold is the first grid index from which every later ratio
+        # is within a factor two of the limit: the per-index search as reference
+        spec = SubordinatorSpec("stable", alpha)
+        t = 1.5
+        scale = t ** (1.0 / alpha)
+        us = scale * np.logspace(-0.5, decades, 40)
+        ratio = stable_density(alpha, t, us) * us ** (1.0 + alpha) / t
+        limit = stable_tail_constant(alpha)
+        within = (ratio >= limit / 2.0) & (ratio <= limit * 2.0)
+        idx = next((k for k in range(len(us)) if within[k:].all()), None)
+        fit = fit_tail_constants(spec, t, decades=decades)
+        if idx is None:
+            assert math.isnan(fit.c_lower) and not fit.finite
+        else:
+            assert fit.u0 == us[idx] / scale
+            assert fit.c_lower == ratio[idx:].min()
+            assert fit.c_upper == ratio[idx:].max()
+
     def test_tail_constant_formula(self):
         assert stable_tail_constant(0.5) == pytest.approx(1 / (2 * math.sqrt(math.pi)))
 
