@@ -468,25 +468,20 @@ def _plot_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs, pairs[:, 0] * n + pairs[:, 1]
 
 
-def _masked_plot_pairs(
-    mask: np.ndarray, count: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _masked_plot_pairs(mask: np.ndarray, count: int, seed: int) -> np.ndarray:
     """Up to ``count`` distinct seeded (i, j) pairs inside ``mask``, drawn
-    from a generator no statistic consumes, and their positions among the
-    masked entries (the order of ``array[mask]``)."""
+    from a generator no statistic consumes."""
     inside = np.flatnonzero(mask)
     rng = np.random.default_rng(seed)
     where = rng.choice(len(inside), size=min(count, len(inside)), replace=False)
-    return np.column_stack(np.divmod(inside[where], mask.shape[1])), where
+    return np.column_stack(np.divmod(inside[where], mask.shape[1]))
 
 
-def _samples(t, pairs, pos, kernel, form, ratio) -> list[tuple]:
-    """(t, i, j, kernel, form, ratio) rows at ``pairs``; ``pos`` locates each
-    pair in the flattened arrays."""
-    picked = (np.ravel(a)[pos] for a in (kernel, form, ratio))
+def _samples(t, pairs, kernel, form, ratio) -> list[tuple]:
+    """(t, i, j, kernel, form, ratio) rows from the values at ``pairs``."""
     return [
         (float(t), int(i), int(j), float(k), float(f), float(q))
-        for (i, j), k, f, q in zip(pairs, *picked)
+        for (i, j), k, f, q in zip(pairs, kernel, form, ratio)
     ]
 
 
@@ -516,7 +511,7 @@ def _ratio_stats_over_times(
         gmin = min(gmin, float(ratio.min()))
         gmax = max(gmax, float(ratio.max()))
         gap = max(gap, float((den - num).max()))
-        samples += _samples(t, pairs, pos, num, den, ratio)
+        samples += _samples(t, pairs, *(a.ravel()[pos] for a in (num, den, ratio)))
         # free this time's blocks before the next time's are computed
         del num, den, ratio
     return gmin, gmax, gap, samples
@@ -602,9 +597,11 @@ def relativistic_comparison_reports(
     sub-crossover regime forms for the relativistic reflected kernel.
 
     Regime forms are evaluated in the intrinsic metric by default (see the
-    module docstring); the minimax sandwich constant is fitted on a seeded
-    subsample and the reported spread is the full-grid spread at that
-    constant.
+    module docstring).  Each regime time grid computes one folded block per
+    time (regimes 2 and 3 share theirs) and keeps the kernel min and max at
+    each pair distance, a seeded subsample on which the minimax sandwich
+    constant is fitted, and the plot-pair values.  The reported spread is
+    the full-grid spread at that constant, read off the per-distance extremes.
     """
     spec = SubordinatorSpec("relativistic", alpha, m)
     system = study.system
@@ -648,80 +645,86 @@ def relativistic_comparison_reports(
     )
 
     dist = study.metric(metric)
+    levels, level_of = np.unique(dist, return_inverse=True)
+    level_of = level_of.ravel()
     rng = np.random.default_rng(seed)
 
-    def regime_report(name: str, times, mask: np.ndarray, kind: str) -> BoundReport:
-        if mask is not None and not mask.any():
-            raise EmptyRegimeError(f"no pairs in {name} for M={study.M}")
-        form = form_for(system, kind, alpha=alpha, M=study.M)
-        gmin, gmax = np.inf, -np.inf
-        fitted_form = form
-        fit_extras: dict = {"metric": metric}
-        needs_fit = kind not in ("stable_form", "relativistic_regime_3", "flat")
-        # pass 1: seeded subsample for the decay-constant fits
-        if needs_fit:
-            ts_fit, rs_fit, ks_fit = [], [], []
-            for t in times:
-                folded = study.folded_matrix(t, spec)
-                vals = folded[mask] if mask is not None else folded.ravel()
-                rs = dist[mask] if mask is not None else dist.ravel()
-                take = min(len(vals), max(500, fit_sample // len(times)))
-                sel = rng.choice(len(vals), size=take, replace=False)
-                ts_fit.append(np.full(take, t))
-                rs_fit.append(rs[sel])
-                ks_fit.append(vals[sel])
-            fit_report = fit_envelope_constants(
-                np.concatenate(ks_fit),
-                np.concatenate(ts_fit),
-                np.concatenate(rs_fit),
-                form,
-                claim=f"{name}-fit",
+    def add_regime_reports(times, regimes) -> None:
+        """Reports of the ``(name, kind, keep)`` regimes, from one folded block
+        per time; ``keep`` picks the distance levels of a regime (None: all).
+        A form depends on a pair only through (t, r), and max(v, CLAMP) / shape
+        grows with v, so the per-level kernel extremes give the ratio extremes."""
+        lo = np.full((len(times), len(levels)), np.inf)
+        hi = np.full_like(lo, -np.inf)
+        plot_pairs, plot_vals, fit_pool, fit_draws = {}, {}, {}, {}
+        for name, kind, keep in regimes:
+            if keep is None:
+                plot_pairs[name], pool = pairs, np.arange(dist.size)
+            else:
+                in_regime = keep[level_of]
+                plot_pairs[name] = _masked_plot_pairs(
+                    in_regime.reshape(dist.shape), len(pairs), seed
+                )
+                pool = np.flatnonzero(in_regime)
+            plot_vals[name] = []
+            if kind != "relativistic_regime_3":  # the one form with no constant
+                fit_pool[name], fit_draws[name] = pool, []
+        for k, t in enumerate(times):
+            block = study.folded_matrix(t, spec)
+            flat = block.ravel()
+            np.minimum.at(lo[k], level_of, flat)
+            np.maximum.at(hi[k], level_of, flat)
+            for name, ij in plot_pairs.items():
+                plot_vals[name].append(block[ij[:, 0], ij[:, 1]])
+            for name, pool in fit_pool.items():
+                take = min(len(pool), max(500, fit_sample // len(times)))
+                sel = pool[rng.choice(len(pool), size=take, replace=False)]
+                fit_draws[name].append((sel, flat[sel]))
+        for name, kind, keep in regimes:
+            form = fitted_form = form_for(system, kind, alpha=alpha, M=study.M)
+            extras: dict = {"metric": metric}
+            if name in fit_draws:
+                sel, vals = (np.concatenate(a) for a in zip(*fit_draws[name]))
+                ts = np.repeat(times, len(sel) // len(times))
+                fit = fit_envelope_constants(
+                    vals, ts, dist.ravel()[sel], form, claim=f"{name}-fit",
+                    threshold=spread_threshold,
+                )
+                if fit.fitted_c is not None and fit.fitted_c > 0:
+                    fitted_form = form.with_constant(fit.fitted_c)
+                extras["fit_slope_lsq"] = fit.extras.get("fit_slope_lsq")
+                extras["fit_r2"] = fit.fit_r2
+            cols = slice(None) if keep is None else keep
+            r_levels = levels[cols]
+            shape = fitted_form.evaluate(
+                np.repeat(times, len(r_levels)), np.tile(r_levels, len(times))
+            ).reshape(len(times), -1)
+            i, j = plot_pairs[name].T
+            samples: list[tuple] = []
+            for t, vals in zip(times, plot_vals[name]):
+                at_pairs = fitted_form.evaluate(np.full(len(i), t), dist[i, j])
+                ratio = np.maximum(vals, CLAMP) / at_pairs
+                samples += _samples(t, plot_pairs[name], vals, at_pairs, ratio)
+            reports[name] = BoundReport(
+                claim=f"relativistic-{name}[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
+                regime=name,
+                grid=grid_note,
+                min_ratio=float((np.maximum(lo[:, cols], CLAMP) / shape).min()),
+                max_ratio=float((np.maximum(hi[:, cols], CLAMP) / shape).max()),
                 threshold=spread_threshold,
+                fitted_c=None if fitted_form is form else fitted_form.c,
+                extras=extras,
+                samples=samples,
             )
-            if fit_report.fitted_c is not None and fit_report.fitted_c > 0:
-                fitted_form = form.with_constant(fit_report.fitted_c)
-            fit_extras["fit_slope_lsq"] = fit_report.extras.get("fit_slope_lsq")
-            fit_extras["fit_r2"] = fit_report.fit_r2
-        # pass 2: full-grid ratio against the (fitted) form
-        if mask is None:
-            inside, where = pairs, pos
-        else:
-            inside, where = _masked_plot_pairs(mask, len(pairs), seed)
-        samples: list[tuple] = []
-        for t in times:
-            folded = study.folded_matrix(t, spec)
-            vals = folded[mask] if mask is not None else folded.ravel()
-            rs = dist[mask] if mask is not None else dist.ravel()
-            shape = fitted_form.evaluate(np.full_like(rs, t), rs)
-            ratio = np.maximum(vals, CLAMP) / shape
-            gmin = min(gmin, float(ratio.min()))
-            gmax = max(gmax, float(ratio.max()))
-            samples += _samples(t, inside, where, vals, shape, ratio)
-        return BoundReport(
-            claim=f"relativistic-{name}[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
-            regime=name,
-            grid=grid_note,
-            min_ratio=gmin,
-            max_ratio=gmax,
-            threshold=spread_threshold,
-            fitted_c=None if fitted_form is form else fitted_form.c,
-            extras=fit_extras,
-            samples=samples,
-        )
 
     if crossover > 1.0:
         regime1_times = log_time_grid(1.0, crossover * 0.98, n_times)
-        reports["regime1"] = regime_report(
-            "regime1", regime1_times, None, "relativistic_regime_1"
-        )
-    sub_times = log_time_grid(t_min, SUB_UNIT_END, n_times)
-    far = dist >= 1.0
-    if far.any():
-        reports["regime2"] = regime_report(
-            "regime2", sub_times, far, "relativistic_regime_2"
-        )
-    reports["regime3"] = regime_report(
-        "regime3", sub_times, dist < 1.0, "relativistic_regime_3"
+        add_regime_reports(regime1_times, [("regime1", "relativistic_regime_1", None)])
+    far = levels >= 1.0
+    sub_regimes = [("regime2", "relativistic_regime_2", far)] if far.any() else []
+    add_regime_reports(
+        log_time_grid(t_min, SUB_UNIT_END, n_times),
+        sub_regimes + [("regime3", "relativistic_regime_3", ~far)],
     )
     return reports
 

@@ -16,7 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -237,15 +236,11 @@ def enumerate_cells(system: FractalSystem, M: int, level: int) -> list[CellAddre
     """All ``N**(M-level)`` level-cells tiling ``K<<M>>``, in word order."""
     if level > M:
         raise FractalError(f"cell level {level} exceeds ambient level {M}")
-    n_letters = M - level
-    scales = [system.L**j for j in range(M, level, -1)]  # L^M, ..., L^(level+1)
-    cells = []
-    for word in itertools.product(range(system.n_maps), repeat=n_letters):
-        offset = Vec2.ZERO
-        for k, letter in enumerate(word):
-            offset = offset + system.maps[letter].translation.scaled(scales[k])
-        cells.append(CellAddress(level, word, offset))
-    return cells
+    words: list[tuple[tuple[int, ...], Vec2]] = [((), Vec2.ZERO)]
+    for j in range(M, level, -1):  # letters at scales L^M, ..., L^(level+1)
+        shifts = [m.translation.scaled(system.L**j) for m in system.maps]
+        words = [(w + (a,), off + s) for w, off in words for a, s in enumerate(shifts)]
+    return [CellAddress(level, w, off) for w, off in words]
 
 
 def cell_corners(system: FractalSystem, cell: CellAddress) -> list[Vec2]:

@@ -120,10 +120,10 @@ class SpectralKernel:
         axes; exactly symmetric."""
         w = self.weights(t, exponent)
         keep = w > 0
-        z = self.psi[:, keep] * np.sqrt(w[keep])
-        s = self.sqrt_mu
-        if rows is not None:
-            z, s = z[rows], s[rows]
+        psi, s = self.psi, self.sqrt_mu
+        if rows is not None:  # scale only the rows the block keeps
+            psi, s = psi[rows], s[rows]
+        z = psi[:, keep] * np.sqrt(w[keep])
         g = np.triu(z @ z.T)
         g = g + np.triu(g, 1).T
         return g / np.outer(s, s)

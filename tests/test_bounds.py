@@ -5,6 +5,7 @@ import pytest
 
 from fractalheat.bounds import (
     CLAMP,
+    SUB_UNIT_END,
     BoundError,
     EmptyRegimeError,
     EnvelopeForm,
@@ -18,7 +19,7 @@ from fractalheat.bounds import (
     sandwich_check_f,
     stable_comparison_reports,
 )
-from fractalheat.kernels import KernelError
+from fractalheat.kernels import KernelError, SpectralKernel
 from fractalheat.subordinators import SubordinatorSpec
 
 
@@ -202,6 +203,129 @@ class TestComparisonReports:
             study, alpha=0.5, m=1.0, n_times=4, metric="euclidean"
         )["regime3"]
         assert euc.spread > geo.spread
+
+
+def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, metric, seed):
+    """Reference: each regime fits its constant on a seeded subsample in one
+    pass over its times, then evaluates the form at every pair in a second."""
+    spec = SubordinatorSpec("relativistic", alpha, m)
+    system = study.system
+    n = len(study.sub_indices)
+    pairs = np.random.default_rng(seed).integers(0, n, size=(min(50, n), 2))
+    pos = pairs[:, 0] * n + pairs[:, 1]
+    dist = study.metric(metric)
+    rng = np.random.default_rng(seed)
+    out = {}
+
+    def regime(name, times, mask, kind):
+        form = fitted = form_for(system, kind, alpha=alpha, M=study.M)
+        fit = None
+        if kind != "relativistic_regime_3":
+            ts, rs, ks = [], [], []
+            for t in times:
+                block = study.folded_matrix(t, spec)
+                vals = block[mask] if mask is not None else block.ravel()
+                r = dist[mask] if mask is not None else dist.ravel()
+                take = min(len(vals), max(500, fit_sample // len(times)))
+                sel = rng.choice(len(vals), size=take, replace=False)
+                ts.append(np.full(take, t))
+                rs.append(r[sel])
+                ks.append(vals[sel])
+            fit = fit_envelope_constants(
+                np.concatenate(ks), np.concatenate(ts), np.concatenate(rs), form
+            )
+            if fit.fitted_c is not None and fit.fitted_c > 0:
+                fitted = form.with_constant(fit.fitted_c)
+        if mask is None:
+            inside, where = pairs, pos
+        else:
+            flat = np.flatnonzero(mask)
+            where = np.random.default_rng(seed).choice(
+                len(flat), size=min(len(pairs), len(flat)), replace=False
+            )
+            inside = np.column_stack(np.divmod(flat[where], mask.shape[1]))
+        gmin, gmax, samples = np.inf, -np.inf, []
+        for t in times:
+            block = study.folded_matrix(t, spec)
+            vals = block[mask] if mask is not None else block.ravel()
+            r = dist[mask] if mask is not None else dist.ravel()
+            shape = fitted.evaluate(np.full_like(r, t), r)
+            ratio = np.maximum(vals, CLAMP) / shape
+            gmin = min(gmin, float(ratio.min()))
+            gmax = max(gmax, float(ratio.max()))
+            samples += [
+                (float(t), int(i), int(j), float(vals[w]), float(shape[w]), float(ratio[w]))
+                for (i, j), w in zip(inside, where)
+            ]
+        out[name] = (
+            gmin,
+            gmax,
+            None if fitted is form else fitted.c,
+            None if fit is None else fit.extras["fit_slope_lsq"],
+            None if fit is None else fit.fit_r2,
+            samples,
+        )
+
+    crossover = float(system.L) ** (study.M * system.walk_dim)
+    if crossover > 1.0:
+        regime("regime1", log_time_grid(1.0, crossover * 0.98, n_times), None,
+               "relativistic_regime_1")
+    sub_times = log_time_grid(t_min, SUB_UNIT_END, n_times)
+    if (dist >= 1.0).any():
+        regime("regime2", sub_times, dist >= 1.0, "relativistic_regime_2")
+    regime("regime3", sub_times, dist < 1.0, "relativistic_regime_3")
+    return out
+
+
+class TestRegimeReports:
+    @pytest.mark.parametrize(
+        "M,metric,alpha,m,fit_sample",
+        [
+            (0, "geodesic", 0.5, 1.0, 60000),
+            (0, "euclidean", 0.5, 1.0, 2000),
+            (1, "geodesic", 0.5, 1.0, 2000),
+            (1, "euclidean", 0.5, 1.0, 60000),
+            (1, "geodesic", 0.7, 0.5, 60000),
+        ],
+    )
+    def test_match_two_pass_reference_exactly(
+        self, gasket, cache, M, metric, alpha, m, fit_sample
+    ):
+        study = ReflectionStudy.build(gasket, M=M, depth=3, window=M + 1, cache=cache)
+        reports = relativistic_comparison_reports(
+            study, alpha, m, n_times=4, t_min=0.1, fit_sample=fit_sample,
+            metric=metric, seed=3,
+        )
+        expected = _two_pass_regimes(study, alpha, m, 4, 0.1, fit_sample, metric, 3)
+        names = [k for k in ("regime1", "regime2", "regime3") if k in reports]
+        assert names == list(expected)
+        assert ("regime1" in names) == (M > 0)
+        for name in names:
+            rep = reports[name]
+            got = (
+                rep.min_ratio,
+                rep.max_ratio,
+                rep.fitted_c,
+                rep.extras.get("fit_slope_lsq"),
+                rep.extras.get("fit_r2"),
+                rep.samples,
+            )
+            assert got == expected[name], name
+
+    def test_one_folded_block_per_time(self, study, monkeypatch):
+        # flat k, domination 2k (folded and free), regime 1 k, sub-unit k
+        calls = []
+        matrix = SpectralKernel.matrix
+
+        def counted(self, t, *args, **kwargs):
+            calls.append(t)
+            return matrix(self, t, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralKernel, "matrix", counted)
+        k = 3
+        reports = relativistic_comparison_reports(study, alpha=0.5, m=1.0, n_times=k)
+        assert {"regime1", "regime2", "regime3"} <= set(reports)
+        assert len(calls) == 5 * k
 
 
 class TestSandwich:

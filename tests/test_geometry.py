@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from fractalheat import (
+    CellAddress,
     FractalError,
     build_system,
     build_vertex_graph,
@@ -117,6 +119,23 @@ class TestCells:
     def test_level_above_ambient_rejected(self, gasket):
         with pytest.raises(FractalError):
             enumerate_cells(gasket, 1, 2)
+
+    @pytest.mark.parametrize(
+        "name,M,level",
+        [("gasket", 1, 0), ("gasket", 2, -1), ("gasket", 0, -3), ("gasket", 2, 2),
+         ("gasket", 3, 1), ("interval", 1, -3), ("interval", 0, -5), ("interval", 2, 0)],
+    )
+    def test_matches_word_sums(self, request, name, M, level):
+        # reference: every word of itertools.product summed on its own
+        system = request.getfixturevalue(name)
+        scales = [system.L**j for j in range(M, level, -1)]
+        expected = []
+        for word in itertools.product(range(system.n_maps), repeat=M - level):
+            offset = Vec2.ZERO
+            for k, letter in enumerate(word):
+                offset = offset + system.maps[letter].translation.scaled(scales[k])
+            expected.append(CellAddress(level, word, offset))
+        assert enumerate_cells(system, M, level) == expected
 
 
 class TestVertexGraph:
