@@ -10,6 +10,15 @@ kernels at different depths approximate one continuum object: densities obey
 Densities are always taken with respect to the vertex measure, so the
 long-time limit on ``K<<M>>`` is ``N^-M``.
 
+Decomposition: nested fractals are symmetric by axiom, so each generator
+commutes with the group G generated by the bisector reflections of pairs of
+corners of ``K<<M>>`` (D3 on the gasket, Z2 on the interval).
+``_symmetric_eigh`` certifies every element of G as a vertex permutation
+that maps the symmetrized generator and the measure onto themselves bitwise,
+and runs one ``eigh`` per real irrep of G on a sparse orthonormal orbit
+basis; if the certificate fails, G is the trivial group and the one block is
+the dense generator.
+
 Positivity: spectral evaluation can produce negatives of order -1e-13
 (eigendecomposition noise) at very short times; on the gasket the kernel is
 strictly positive from ``t_min(M) = 0.01 * L^(M d_w)`` on for depths up to 6.
@@ -18,14 +27,17 @@ Ratio statistics elsewhere clamp at 1e-14; raw tables are never clamped.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geometry import FractalSystem, VertexGraph, build_vertex_graph
+from .exact import Vec2
+from .geometry import FractalSystem, VertexGraph, _bisector_reflection, build_vertex_graph
 from .labeling import LabelMap
 
 # exp(-60) ~ 9e-27: dropping spectral terms beyond this leaves reconstruction
@@ -147,35 +159,198 @@ class SpectralKernel:
         return float(np.abs(self.row_mass(t, exponent) - 1.0).max())
 
 
-def _symmetric_eigh(q: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_eigh(q: np.ndarray, mu: np.ndarray, coords: np.ndarray, corners):
     """Rates ``lambda`` (ascending) and counting-measure orthonormal
-    eigenvectors of the generator ``q``, symmetrized against ``mu``.
+    eigenvectors of the generator ``q``, symmetrized against ``mu``, one
+    block per irrep of the symmetry group G of ``K<<M>>``.
+
+    G is generated by the bisector reflections of pairs of ``corners`` (the
+    exact corners of ``K<<M>>``); ``coords`` are the points of the rows of
+    ``q``.  Each element of G is a vertex permutation, matched on ``coords``
+    and certified exactly: it must map the symmetrized generator and ``mu``
+    onto themselves bitwise.  If any reflection fails, or G has a real irrep
+    other than the trivial one, ``det`` and the 2x2 linear part, G is the
+    trivial group: one dense block, the plain dense decomposition.
+
+    Otherwise (D3 on the gasket, Z2 on the interval) the generator commutes
+    with every permutation, so it leaves each isotypic component invariant
+    (Serre, *Linear Representations of Finite Groups*, 2.6-2.7).  One
+    ``eigh`` per irrep runs on ``B^T S B`` for a sparse orthonormal basis B
+    of one copy of its component; the other copy of the 2-D component has
+    the same eigenvalues and takes its vectors through the intertwining
+    basis.  The blocks merge in ascending order of rate.
 
     Both come back C-contiguous, as a cache load returns them, so a run
     that decomposes and a run that reads the cache compute identical bytes.
     """
+    n = len(mu)
+    key = np.flatnonzero(q)  # row-major positions of the nonzeros, ascending
+    rows, cols = np.divmod(key, n)
     s = np.sqrt(mu)
-    sym = q * np.outer(s, 1.0 / s)
-    sym = (sym + sym.T) / 2.0
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise KernelError(f"eigendecomposition failed: {exc}") from exc
-    return -w[::-1], np.ascontiguousarray(v[:, ::-1])
+    half = q.ravel()[key] * (s[rows] * (1.0 / s)[cols])  # q * outer(s, 1/s)
+    sym = (half + half[np.searchsorted(key, cols * n + rows)]) / 2.0
+    perms, lins = _symmetry_group(coords, corners, key, sym, mu)
+    reps = _real_irreps(lins)
+    if reps is None:
+        perms, lins = perms[:1], lins[:1]
+        reps = _real_irreps(lins)
+    rates, start = [], 0
+    psi = np.empty((n, n))
+    for size, col, val in _isotypic_bases(perms, reps):
+        # B^T S B over the nonzeros of S, B stored as (column, value) slots per row
+        pairs = col[rows][:, :, None] * size + col[cols][:, None, :]
+        terms = val[0][rows][:, :, None] * sym[:, None, None] * val[0][cols][:, None, :]
+        block = np.bincount(pairs.ravel(), terms.ravel(), minlength=size * size)
+        try:
+            w, v = np.linalg.eigh(block.reshape(size, size))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise KernelError(f"eigendecomposition failed: {exc}") from exc
+        v = np.ascontiguousarray(v[:, ::-1])  # ascending rates, as -w[::-1]
+        for copy in val:  # B_i v, one copy of the eigenvectors per component
+            out = psi[:, start : start + size]
+            np.multiply(copy[:, :1], np.take(v, col[:, 0], axis=0), out=out)
+            for j in range(1, col.shape[1]):
+                out += copy[:, j : j + 1] * np.take(v, col[:, j], axis=0)
+            rates.append(-w[::-1])
+            start += size
+    rates = np.concatenate(rates)
+    order = np.argsort(rates, kind="stable")
+    return rates[order], np.take(psi, order, axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _reflection_map(x: Vec2, y: Vec2) -> tuple[np.ndarray, np.ndarray]:
+    """Linear part and shift, in floats, of the exact bisector reflection of
+    the corners ``x`` and ``y`` (read-only: the cache shares them).  Cached,
+    because the exact arithmetic costs more than a small decomposition."""
+    refl = _bisector_reflection(x, y)
+    shift = np.array(refl(Vec2.ZERO).to_floats())
+    images = [refl(e).to_floats() for e in (Vec2.of(1, 0), Vec2.of(0, 1))]
+    lin = np.array(images).T - shift[:, None]
+    lin.flags.writeable = shift.flags.writeable = False
+    return lin, shift
+
+
+def _symmetry_group(coords, corners, key, vals, mu):
+    """Vertex permutations ``perms`` (|G| x n, the identity first) and linear
+    parts ``lins`` (|G| x 2 x 2) of the group generated by the bisector
+    reflections of pairs of ``corners``; the trivial group unless every
+    reflection maps the points ``coords`` onto themselves and passes
+    :func:`_is_symmetry`.  ``perms[g][x]`` is the row of the image of row
+    ``x``, so ``perms[gh] = perms[g][perms[h]]``."""
+    n = len(coords)
+    trivial = np.arange(n)[None, :], np.eye(2)[None]
+    tree = cKDTree(coords)
+    tol = 1e-9 * max(1.0, float(np.abs(coords).max()))
+    gens = []
+    for a, x in enumerate(corners):
+        for y in corners[a + 1 :]:
+            lin, shift = _reflection_map(x, y)
+            dist, perm = tree.query(coords @ lin.T + shift, distance_upper_bound=tol)
+            if not (np.isfinite(dist).all() and _is_symmetry(perm, key, vals, mu)):
+                return trivial
+            gens.append((perm, lin))
+    perms, lins = [np.arange(n)], [np.eye(2)]
+    seen = {perms[0].tobytes()}
+    k = 0
+    while k < len(perms):  # closure under the generators
+        for perm, lin in gens:
+            image = perm[perms[k]]
+            if image.tobytes() not in seen:
+                seen.add(image.tobytes())
+                perms.append(image)
+                lins.append(lin @ lins[k])
+        k += 1
+    return np.array(perms), np.array(lins)
+
+
+def _is_symmetry(perm, key, vals, mu) -> bool:
+    """The certificate: ``perm`` moves the nonzeros ``vals`` (at row-major
+    flat positions ``key``) of the symmetrized generator onto nonzeros of
+    equal value, bitwise, and keeps ``mu``.  Every diagonal entry is
+    nonzero, so this also makes ``perm`` a bijection."""
+    n = len(mu)
+    moved = perm[key // n] * n + perm[key % n]
+    order = np.argsort(moved)
+    return (
+        np.array_equal(moved[order], key)
+        and np.array_equal(vals[order], vals)
+        and np.array_equal(mu[perm], mu)
+    )
+
+
+def _real_irreps(lins):
+    """The real irreps of the group with linear parts ``lins``, each as
+    |G| matrices (|G| x d x d): the trivial one, ``det`` when it differs
+    from it and the linear part when it is irreducible.  None when these
+    are not all of them (sum of d^2 short of |G|)."""
+    g = len(lins)
+    det = np.rint(np.linalg.det(lins))
+    reps = [np.ones((g, 1, 1))]
+    if (det < 0).any():
+        reps.append(det[:, None, None])
+    traces = np.trace(lins, axis1=1, axis2=2)
+    if np.isclose(traces @ traces, g):  # character norm |G|: irreducible
+        reps.append(lins)
+    return reps if sum(r.shape[1] ** 2 for r in reps) == g else None
+
+
+def _isotypic_bases(perms, reps):
+    """Per irrep in ``reps``, of dimension d, orthonormal bases ``B_1..B_d``
+    (n x size) of its isotypic component, with ``B_i^T S B_i`` the same for
+    every i and every G-invariant S.  Each row of ``B_i`` has at most d
+    nonzeros: ``(size, col, val)`` holds their columns ``col`` (n x d) and
+    values ``val[i]`` (n x d; padding is 0).
+
+    On the orbit of a representative r with stabilizer H, a unit vector w
+    fixed by H gives ``f_i(g r) = sqrt(d / |orbit|) (rho(g) w)_i``, which
+    transforms as ``rho``; Schur orthogonality makes these orthonormal.
+    Orbits with the same stabilizer share one coefficient matrix.
+    """
+    g, n = perms.shape
+    orbit_reps = np.flatnonzero(perms.min(axis=0) == np.arange(n))
+    stabilizers = (perms[:, orbit_reps] == orbit_reps).T @ (1 << np.arange(g))
+    sizes = [0] * len(reps)
+    cols = [np.zeros((n, r.shape[1]), dtype=np.intp) for r in reps]
+    vals = [np.zeros((r.shape[1], n, r.shape[1])) for r in reps]
+    for stab in np.unique(stabilizers):
+        members = orbit_reps[stabilizers == stab]
+        h = (stab >> np.arange(g)) & 1 == 1
+        # the first group element of each coset gH, one per orbit point
+        cosets = np.sort(np.unique(perms[:, members[0]], return_index=True)[1])
+        rows = perms[cosets][:, members]
+        for r, rho in enumerate(reps):
+            d = rho.shape[1]
+            fixed = rho[h].mean(axis=0)  # projector onto the H-fixed vectors
+            m = int(round(np.trace(fixed)))
+            if m == 0:
+                continue
+            w = np.linalg.svd(fixed)[0][:, :m] if d > 1 else fixed
+            coef = np.sqrt(d / len(cosets)) * (rho[cosets] @ w)
+            cols[r][rows, :m] = sizes[r] + np.arange(len(members) * m).reshape(-1, m)
+            vals[r][:, rows, :m] = coef.transpose(1, 0, 2)[:, :, None, :]
+            sizes[r] += len(members) * m
+    return [basis for basis in zip(sizes, cols, vals) if basis[0]]
 
 
 def spectral_decompose(gen: Generator) -> SpectralKernel:
     """Full symmetric eigendecomposition of a conservative generator."""
-    mu = gen.graph.measure
-    lam, psi = _symmetric_eigh(gen.matrix, mu)
+    graph = gen.graph
+    mu = graph.measure
+    corners = [graph.points[c] for c in graph.corner_indices()]
+    lam, psi = _symmetric_eigh(gen.matrix, mu, graph.coords, corners)
     scale = max(abs(float(lam[0])), abs(float(lam[-1])), 1.0)
     if abs(lam[0]) > 1e-8 * scale:
         raise KernelError(
             f"conservative generator must have a zero mode, got {lam[0]:.3e}"
         )
     lam[0] = 0.0
-    # pin the constant eigenvector exactly; it is known in closed form
-    psi[:, 0] = np.sqrt(mu) / np.sqrt(mu.sum())
+    # pin the constant eigenvector exactly (it is known in closed form) and
+    # project it out of the others, which eigh made orthogonal only to its
+    # rounded copy
+    zero = np.sqrt(mu) / np.sqrt(mu.sum())
+    psi[:, 0] = zero
+    psi[:, 1:] -= np.outer(zero, zero @ psi[:, 1:])
     np.clip(lam, 0.0, None, out=lam)
     return SpectralKernel(
         graph=gen.graph, eigenvalues=lam, psi=psi, mu=mu, conservative=True
@@ -195,7 +370,7 @@ class KernelCache:
         self.directory = directory
 
     def _key(self, system: FractalSystem, M: int, depth: int, bc: str) -> str:
-        text = f"{system.fingerprint()}|M={M}|n={depth}|bc={bc}|v1"
+        text = f"{system.fingerprint()}|M={M}|n={depth}|bc={bc}|v2"
         return hashlib.sha256(text.encode()).hexdigest()
 
     def graph(self, system: FractalSystem, M: int, depth: int) -> VertexGraph:
@@ -305,9 +480,14 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
     """Kernel of the walk killed at the global corners of ``K<<M>>``."""
     gen = build_generator(graph)
     corners = graph.corner_indices()
-    keep = np.array([i for i in range(graph.n_vertices) if i not in set(corners)])
+    keep = np.setdiff1d(np.arange(graph.n_vertices), corners)
     mu = graph.measure[keep]
-    lam, psi = _symmetric_eigh(gen.matrix[np.ix_(keep, keep)], mu)
+    lam, psi = _symmetric_eigh(
+        gen.matrix[np.ix_(keep, keep)],
+        mu,
+        graph.coords[keep],
+        [graph.points[c] for c in corners],
+    )
     # killing at the corners makes every rate strictly positive
     if not lam[0] > 1e-8 * float(np.abs(lam).max()):
         raise KernelError(

@@ -171,8 +171,8 @@ class TestTruncatedFreeKernel:
     def test_killed_kernel_rejects_zero_rate(self, gasket, cache, monkeypatch):
         eigh = kernels._symmetric_eigh
 
-        def zero_rate(q, mu):
-            lam, psi = eigh(q, mu)
+        def zero_rate(q, mu, coords, corners):
+            lam, psi = eigh(q, mu, coords, corners)
             lam[0] = 0.0
             return lam, psi
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from fractalheat import pipeline
+from fractalheat import kernels, pipeline
 from fractalheat.bounds import PLOT_PAIRS, ReflectionStudy
+from fractalheat.cli import _BLAS_VARS
 from fractalheat.config import load_run_config
 from fractalheat.kernels import KernelCache
 from fractalheat.pipeline import emit_plot_data, run_pipeline
@@ -213,6 +215,24 @@ class TestEigenCache:
         assert warm.inventory == cold.inventory
         assert KernelCache(directory=cache_dir)._load(key) is not None
 
+    def test_entry_under_the_previous_key_version_is_a_miss(self, gasket, tmp_path, monkeypatch):
+        # an entry written before the symmetry-blocked decomposition holds
+        # another basis of each degenerate eigenspace, so a warm run on it
+        # would not reproduce a cold run byte for byte
+        cache = KernelCache(directory=tmp_path)
+        kern = kernels.spectral_decompose(kernels.build_generator(cache.graph(gasket, 0, 2)))
+        text = f"{gasket.fingerprint()}|M=0|n=2|bc=neumann|v1"
+        cache._store(hashlib.sha256(text.encode()).hexdigest(), kern)
+        decomposed = []
+        decompose = kernels.spectral_decompose
+        monkeypatch.setattr(
+            kernels, "spectral_decompose", lambda gen: decomposed.append(gen) or decompose(gen)
+        )
+        KernelCache(directory=tmp_path).kernel(gasket, 0, 2)
+        assert len(decomposed) == 1
+        KernelCache(directory=tmp_path).kernel(gasket, 0, 2)  # the entry it stored
+        assert len(decomposed) == 1
+
 
 class TestEmitPlotData:
     def test_empty_reports_empty_list(self, tmp_path):
@@ -237,6 +257,24 @@ class TestCli:
             capture_output=True,
             text=True,
         )
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_blas_pinned_to_one_thread(self):
+        script = (
+            "from fractalheat import cli\n"
+            f"cli.main(['validate-fractal', '--config', {str(CONFIGS / 'gasket.ini')!r}])\n"
+            "import numpy as np\n"
+            "a = np.ones((600, 600))\n"
+            "a @ a\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print(next(line.split()[1] for line in status if line.startswith('Threads:')))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "1"
 
     def test_validate_fractal_ok(self):
         proc = self._run("validate-fractal", "--config", str(CONFIGS / "gasket.ini"))
