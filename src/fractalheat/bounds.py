@@ -438,17 +438,15 @@ class ReflectionStudy:
         if ok.size == 0:
             raise BoundError("no certifiable interior points for the bracket")
         killed = self.dirichlet()
+        corners = killed.graph.corner_indices()
         expo = spec.laplace_exponent
         worst = 0.0
         for t in times:
-            # window-graph vertex pairs, and their positions among the vertices
-            # the killed kernel keeps (index_map is ascending)
             pairs = self.sub_indices[rng.choice(ok, size=(max_points, 2))]
-            pos = np.searchsorted(killed.index_map, pairs)
-            if not (np.take(killed.index_map, pos, mode="clip") == pairs).all():
+            if np.isin(pairs, corners).any():
                 raise BoundError("a bracket point is a killed corner of the window")
             free = self.window_kernel.value(t, pairs[:, 0], pairs[:, 1], expo)
-            diri = killed.value(t, pos[:, 0], pos[:, 1], expo)
+            diri = killed.value(t, pairs[:, 0], pairs[:, 1], expo)
             width = (free - diri) / np.maximum(free, CLAMP)
             worst = max(worst, float(width.max()))
         return worst

@@ -160,8 +160,9 @@ class RunConfig:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if not (0 < self.t_min < SUB_UNIT_END):
             raise ConfigError(f"t_min must be in (0, {SUB_UNIT_END}), got {self.t_min}")
-        if self.n_times < 1:
-            raise ConfigError(f"n_times must be at least 1, got {self.n_times}")
+        for name in ("n_times", "table_pairs", "crosscheck_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.flat_span <= 1:
             raise ConfigError(f"flat_span must exceed 1, got {self.flat_span}")
         if any(t <= 0 for t in self.kernel_times):

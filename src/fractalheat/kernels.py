@@ -10,6 +10,10 @@ kernels at different depths approximate one continuum object: densities obey
 Densities are always taken with respect to the vertex measure, so the
 long-time limit on ``K<<M>>`` is ``N^-M``.
 
+The generator is held as its nonzeros (a CSR array), which both the
+reflected and the killed decomposition read.  Every kernel of a graph is
+indexed by its vertices; the killed one is 0 at the corners of ``K<<M>>``.
+
 Decomposition: nested fractals are symmetric by axiom, so each generator
 commutes with the group G generated by the bisector reflections of pairs of
 corners of ``K<<M>>`` (D3 on the gasket, Z2 on the interval).
@@ -34,6 +38,7 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .exact import Vec2
@@ -51,35 +56,32 @@ class KernelError(RuntimeError):
 
 @dataclass
 class Generator:
-    """Continuous-time walk generator on a vertex graph."""
+    """Continuous-time walk generator on a vertex graph, held as its
+    nonzeros: ``matrix`` is an n x n CSR array with sorted indices, one
+    rate per edge direction and a diagonal that makes each row sum to 0."""
 
     graph: VertexGraph
-    walk_dim: float
     rate_scale: float
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    matrix: csr_array
 
 
-def build_generator(graph: VertexGraph, walk_dim: float | None = None) -> Generator:
+def build_generator(graph: VertexGraph) -> Generator:
     """Edge-uniform jump rates scaled by ``L^(d_w * depth)``, symmetrized
     against the vertex measure (detailed balance holds exactly)."""
     if not graph.is_connected():
         raise KernelError("generator requires a connected graph")
-    if walk_dim is None:
-        walk_dim = graph.system.walk_dim
-    lam = float(graph.system.L) ** (walk_dim * graph.depth)
+    lam = float(graph.system.L) ** (graph.system.walk_dim * graph.depth)
     n = graph.n_vertices
-    q = np.zeros((n, n))
     inc = np.asarray(graph.incident, dtype=float)
-    for u, v in graph.edges:
-        q[u, v] = lam / inc[u]
-        q[v, u] = lam / inc[v]
-    np.fill_diagonal(q, 0.0)
-    q[np.arange(n), np.arange(n)] = -q.sum(axis=1)
-    return Generator(graph=graph, walk_dim=walk_dim, rate_scale=lam, matrix=q)
+    u, v = np.asarray(graph.edges, dtype=np.intp).T
+    rows, cols, diag = np.r_[u, v], np.r_[v, u], np.arange(n)
+    rates = lam / inc[rows]
+    # the rates out of a vertex are equal, and up to 4 equal terms (the
+    # gasket's degree) sum to the same bits in any order, as in a dense sum
+    data = np.r_[rates, -np.bincount(rows, rates, minlength=n)]
+    q = csr_array((data, (np.r_[rows, diag], np.r_[cols, diag])), shape=(n, n))
+    q.sort_indices()
+    return Generator(graph=graph, rate_scale=lam, matrix=q)
 
 
 @dataclass
@@ -96,7 +98,6 @@ class SpectralKernel:
     psi: np.ndarray  # counting-measure orthonormal eigenvectors (columns)
     mu: np.ndarray
     conservative: bool = True
-    index_map: np.ndarray | None = None  # rows of `graph` kept (killed kernels)
 
     def __post_init__(self):
         self.sqrt_mu = np.sqrt(self.mu)
@@ -159,10 +160,11 @@ class SpectralKernel:
         return float(np.abs(self.row_mass(t, exponent) - 1.0).max())
 
 
-def _symmetric_eigh(q: np.ndarray, mu: np.ndarray, coords: np.ndarray, corners):
+def _symmetric_eigh(q: csr_array, mu: np.ndarray, coords: np.ndarray, corners):
     """Rates ``lambda`` (ascending) and counting-measure orthonormal
-    eigenvectors of the generator ``q``, symmetrized against ``mu``, one
-    block per irrep of the symmetry group G of ``K<<M>>``.
+    eigenvectors of the generator ``q`` (CSR, sorted indices), symmetrized
+    against ``mu``, one block per irrep of the symmetry group G of
+    ``K<<M>>``.
 
     G is generated by the bisector reflections of pairs of ``corners`` (the
     exact corners of ``K<<M>>``); ``coords`` are the points of the rows of
@@ -184,10 +186,11 @@ def _symmetric_eigh(q: np.ndarray, mu: np.ndarray, coords: np.ndarray, corners):
     that decomposes and a run that reads the cache compute identical bytes.
     """
     n = len(mu)
-    key = np.flatnonzero(q)  # row-major positions of the nonzeros, ascending
-    rows, cols = np.divmod(key, n)
+    rows = np.repeat(np.arange(n), np.diff(q.indptr))
+    cols = q.indices.astype(np.intp)
+    key = rows * n + cols  # row-major positions of the nonzeros, ascending
     s = np.sqrt(mu)
-    half = q.ravel()[key] * (s[rows] * (1.0 / s)[cols])  # q * outer(s, 1/s)
+    half = q.data * (s[rows] * (1.0 / s)[cols])  # q * outer(s, 1/s)
     sym = (half + half[np.searchsorted(key, cols * n + rows)]) / 2.0
     perms, lins = _symmetry_group(coords, corners, key, sym, mu)
     reps = _real_irreps(lins)
@@ -370,7 +373,7 @@ class KernelCache:
         self.directory = directory
 
     def _key(self, system: FractalSystem, M: int, depth: int, bc: str) -> str:
-        text = f"{system.fingerprint()}|M={M}|n={depth}|bc={bc}|v2"
+        text = f"{system.fingerprint()}|M={M}|n={depth}|bc={bc}|v3"
         return hashlib.sha256(text.encode()).hexdigest()
 
     def graph(self, system: FractalSystem, M: int, depth: int) -> VertexGraph:
@@ -385,9 +388,9 @@ class KernelCache:
         key = self._key(system, M, depth, bc)
         if key in self._memory:
             return self._memory[key]
+        graph = self.graph(system, M, depth)
         kern = self._load(key)
-        if kern is None:
-            graph = self.graph(system, M, depth)
+        if kern is None or kern.n != graph.n_vertices:
             if bc == "neumann":
                 kern = spectral_decompose(build_generator(graph))
             elif bc == "dirichlet":
@@ -395,8 +398,7 @@ class KernelCache:
             else:
                 raise KernelError(f"unknown boundary condition {bc!r}")
             self._store(key, kern)
-        else:
-            kern.graph = self.graph(system, M, depth)
+        kern.graph = graph
         self._memory[key] = kern
         return kern
 
@@ -423,15 +425,9 @@ class KernelCache:
                 psi = data["psi"]
                 mu = data["mu"]
                 conservative = bool(data["conservative"])
-                index_map = data["index_map"] if "index_map" in data else None
         except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
             return None
-        n = len(mu)
-        if (
-            stored_key != key
-            or psi.shape != (n, len(eigenvalues))
-            or (not conservative and (index_map is None or len(index_map) != n))
-        ):
+        if stored_key != key or psi.shape != (len(mu), len(eigenvalues)):
             return None
         return SpectralKernel(
             graph=None,  # re-attached by caller
@@ -439,7 +435,6 @@ class KernelCache:
             psi=psi,
             mu=mu,
             conservative=conservative,
-            index_map=index_map,
         )
 
     def _store(self, key: str, kern: SpectralKernel) -> None:
@@ -450,19 +445,17 @@ class KernelCache:
         path = self._path(key)
         if path is None:
             return
-        payload = dict(
-            key=np.str_(key),
-            eigenvalues=kern.eigenvalues,
-            psi=kern.psi,
-            mu=kern.mu,
-            conservative=np.bool_(kern.conservative),
-        )
-        if kern.index_map is not None:
-            payload["index_map"] = kern.index_map
         tmp = path.with_name(f".eig-{key}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
-                np.savez(fh, **payload)
+                np.savez(
+                    fh,
+                    key=np.str_(key),
+                    eigenvalues=kern.eigenvalues,
+                    psi=kern.psi,
+                    mu=kern.mu,
+                    conservative=np.bool_(kern.conservative),
+                )
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -477,14 +470,15 @@ def default_cache() -> KernelCache:
 
 
 def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
-    """Kernel of the walk killed at the global corners of ``K<<M>>``."""
+    """Kernel of the walk killed at the global corners of ``K<<M>>``, over
+    every vertex of ``graph``: the eigenvectors vanish at the corners, so
+    the kernel is 0 wherever a corner is one of the pair."""
     gen = build_generator(graph)
     corners = graph.corner_indices()
     keep = np.setdiff1d(np.arange(graph.n_vertices), corners)
-    mu = graph.measure[keep]
     lam, psi = _symmetric_eigh(
-        gen.matrix[np.ix_(keep, keep)],
-        mu,
+        gen.matrix[keep][:, keep],
+        graph.measure[keep],
         graph.coords[keep],
         [graph.points[c] for c in corners],
     )
@@ -493,13 +487,10 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
         raise KernelError(
             f"killed generator must have positive rates, got smallest {lam[0]:.3e}"
         )
+    full = np.zeros((graph.n_vertices, len(lam)))
+    full[keep] = psi
     return SpectralKernel(
-        graph=graph,
-        eigenvalues=lam,
-        psi=psi,
-        mu=mu,
-        conservative=False,
-        index_map=keep,
+        graph=graph, eigenvalues=lam, psi=full, mu=graph.measure, conservative=False
     )
 
 

@@ -63,6 +63,8 @@ def crosscheck_subordination(
     seed: int = 0,
 ) -> EquivalenceReport:
     """Spectral mapping vs quadrature on a seeded (t, x, y) sample."""
+    if n_samples < 1:
+        raise KernelError(f"need at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)
     n = kernel.n
     times = tuple(float(t) for t in times)

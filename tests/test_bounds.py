@@ -167,10 +167,8 @@ class TestComparisonReports:
             np.flatnonzero(study.certifiable_mask()), size=(100, 2)
         ).T
         free = study.free_matrix(t, spec)[i, j]
-        killed = study.dirichlet()
-        position = {int(v): k for k, v in enumerate(killed.index_map)}
-        ki, kj = (np.array([position[int(v)] for v in study.sub_indices[a]]) for a in (i, j))
-        diri = killed.matrix(t, exponent=spec.laplace_exponent)[ki, kj]
+        diri = study.dirichlet().matrix(t, exponent=spec.laplace_exponent)
+        diri = diri[study.sub_indices[i], study.sub_indices[j]]
         width = (free - diri) / np.maximum(free, CLAMP)
         assert bracket == pytest.approx(max(0.0, float(width.max())), rel=1e-12)
 

@@ -110,6 +110,10 @@ class TestRunConfig:
             "flat_span = 1",
             "t_min = 0.95",
             "kernel_times = 0.5,0,2",
+            "table_pairs = 0",
+            "table_pairs = -1",
+            "crosscheck_samples = 0",
+            "crosscheck_samples = -2",
         ],
     )
     def test_validation_rejects(self, tmp_path, patch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,17 +23,17 @@ from fractalheat.subordinators import SubordinatorSpec
 class TestGenerator:
     def test_rows_sum_to_zero_exactly(self, gasket, cache):
         gen = build_generator(cache.graph(gasket, 0, 3))
-        assert np.all(gen.matrix.sum(axis=1) == 0.0)
+        assert np.all(gen.matrix.toarray().sum(axis=1) == 0.0)
 
     def test_detailed_balance_exact(self, gasket, cache):
         graph = cache.graph(gasket, 0, 3)
         gen = build_generator(graph)
-        weighted = graph.measure[:, None] * gen.matrix
+        weighted = graph.measure[:, None] * gen.matrix.toarray()
         assert np.array_equal(weighted, weighted.T)
 
     def test_offdiagonal_nonnegative(self, gasket, cache):
-        gen = build_generator(cache.graph(gasket, 1, 2))
-        off = gen.matrix - np.diag(np.diag(gen.matrix))
+        q = build_generator(cache.graph(gasket, 1, 2)).matrix.toarray()
+        off = q - np.diag(np.diag(q))
         assert off.min() >= 0.0
 
     def test_disconnected_rejected(self, gasket, cache):
@@ -57,11 +58,11 @@ class TestSpectralKernel:
 
     def test_generator_reconstruction(self, gasket, cache):
         graph = cache.graph(gasket, 0, 3)
-        gen = build_generator(graph)
+        q = build_generator(graph).matrix.toarray()
         kern = cache.kernel(gasket, 0, 3)
         s = np.sqrt(graph.measure)
         rebuilt = ((kern.psi * (-kern.eigenvalues)) @ kern.psi.T) / s[:, None] * s[None, :]
-        assert np.abs(rebuilt - gen.matrix).max() <= 1e-10 * np.abs(gen.matrix).max()
+        assert np.abs(rebuilt - q).max() <= 1e-10 * np.abs(q).max()
 
     def test_semigroup(self, gasket, cache):
         kern = cache.kernel(gasket, 0, 3)
@@ -148,10 +149,24 @@ class TestTruncatedFreeKernel:
         coords = neumann.graph.coords
         center = coords.mean(axis=0)
         ci = int(np.argmin(((coords - center) ** 2).sum(axis=1)))
-        pos = int(np.where(dirichlet.index_map == ci)[0][0])
         gn = neumann.value(0.1, ci, ci)
-        gd = dirichlet.value(0.1, pos, pos)
+        gd = dirichlet.value(0.1, ci, ci)
         assert abs(gn - gd) / gn <= 1e-10
+
+    def test_killed_kernel_vanishes_at_the_corners(self, gasket, cache):
+        # indexed like every other kernel of its graph, with a zero
+        # eigenvector row at each killed corner
+        kern = cache.kernel(gasket, 1, 3, "dirichlet")
+        n = kern.graph.n_vertices
+        corners = kern.graph.corner_indices()
+        assert kern.psi.shape == (n, n - 3)
+        assert np.all(kern.psi[corners] == 0.0)
+        inner = np.setdiff1d(np.arange(n), corners)
+        assert np.all(np.abs(kern.psi[inner]).max(axis=1) > 0.0)
+        for t in (0.1, 1.0):
+            assert np.all(kern.value(t, corners, corners[::-1]) == 0.0)
+            assert np.all(kern.value(t, corners, inner[:3]) == 0.0)
+            assert kern.value(t, inner[0], inner[0]) > 0.0
 
     def test_on_diagonal_decay_exponent(self, gasket, cache):
         kern = cache.kernel(gasket, 2, 4)
@@ -179,6 +194,26 @@ class TestTruncatedFreeKernel:
         monkeypatch.setattr(kernels, "_symmetric_eigh", zero_rate)
         with pytest.raises(KernelError, match="positive rates"):
             kernels._dirichlet_kernel(cache.graph(gasket, 1, 2))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_decomposition_peak_memory(gasket, cache, bc):
+    # numpy reports its buffers to tracemalloc.  The eigenvectors and their
+    # reordered copy take 2 * 8 n^2 bytes; a dense generator or a dense copy
+    # of it would add another 8 n^2 each.
+    graph = cache.graph(gasket, 2, 4)
+    n = graph.n_vertices
+    assert n == 1095
+    tracemalloc.start()
+    try:
+        if bc == "neumann":
+            spectral_decompose(build_generator(graph))
+        else:
+            kernels._dirichlet_kernel(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 8 * n * n
 
 
 class TestFoldingCrosscheck:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fractalheat import kernels, pipeline
@@ -215,22 +217,44 @@ class TestEigenCache:
         assert warm.inventory == cold.inventory
         assert KernelCache(directory=cache_dir)._load(key) is not None
 
-    def test_entry_under_the_previous_key_version_is_a_miss(self, gasket, tmp_path, monkeypatch):
-        # an entry written before the symmetry-blocked decomposition holds
-        # another basis of each degenerate eigenspace, so a warm run on it
-        # would not reproduce a cold run byte for byte
-        cache = KernelCache(directory=tmp_path)
-        kern = kernels.spectral_decompose(kernels.build_generator(cache.graph(gasket, 0, 2)))
-        text = f"{gasket.fingerprint()}|M=0|n=2|bc=neumann|v1"
-        cache._store(hashlib.sha256(text.encode()).hexdigest(), kern)
+    @staticmethod
+    def _count_decompositions(monkeypatch):
         decomposed = []
-        decompose = kernels.spectral_decompose
-        monkeypatch.setattr(
-            kernels, "spectral_decompose", lambda gen: decomposed.append(gen) or decompose(gen)
-        )
-        KernelCache(directory=tmp_path).kernel(gasket, 0, 2)
+        for name in ("spectral_decompose", "_dirichlet_kernel"):
+            fn = getattr(kernels, name)
+            monkeypatch.setattr(
+                kernels, name, lambda arg, fn=fn: decomposed.append(arg) or fn(arg)
+            )
+        return decomposed
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_entry_under_the_previous_key_version_is_a_miss(
+        self, gasket, tmp_path, monkeypatch, version, bc
+    ):
+        # a v1 entry holds another basis of each degenerate eigenspace, and a
+        # v2 killed entry has no rows for the corners, so neither may load
+        kern = KernelCache().kernel(gasket, 0, 2, bc)
+        text = f"{gasket.fingerprint()}|M=0|n=2|bc={bc}|{version}"
+        KernelCache(directory=tmp_path)._store(hashlib.sha256(text.encode()).hexdigest(), kern)
+        decomposed = self._count_decompositions(monkeypatch)
+        KernelCache(directory=tmp_path).kernel(gasket, 0, 2, bc)
         assert len(decomposed) == 1
-        KernelCache(directory=tmp_path).kernel(gasket, 0, 2)  # the entry it stored
+        KernelCache(directory=tmp_path).kernel(gasket, 0, 2, bc)  # the entry it stored
+        assert len(decomposed) == 1
+
+    def test_entry_with_another_row_count_is_a_miss(self, gasket, tmp_path, monkeypatch):
+        # a killed entry over the non-corner vertices only, as v2 stored it
+        cache = KernelCache(directory=tmp_path)
+        kern = KernelCache().kernel(gasket, 0, 2, "dirichlet")
+        keep = np.setdiff1d(np.arange(kern.n), kern.graph.corner_indices())
+        short = dataclasses.replace(kern, psi=kern.psi[keep], mu=kern.mu[keep])
+        cache._store(cache._key(gasket, 0, 2, "dirichlet"), short)
+        decomposed = self._count_decompositions(monkeypatch)
+        rebuilt = KernelCache(directory=tmp_path).kernel(gasket, 0, 2, "dirichlet")
+        assert len(decomposed) == 1
+        assert rebuilt.psi.shape == kern.psi.shape
+        KernelCache(directory=tmp_path).kernel(gasket, 0, 2, "dirichlet")
         assert len(decomposed) == 1
 
 

@@ -84,6 +84,12 @@ class TestQuadratureEquivalence:
         )
         assert report.max_rel_error <= 1e-12
 
+    @pytest.mark.parametrize("n_samples", [0, -2])
+    def test_crosscheck_needs_a_sample(self, gasket, cache, n_samples):
+        kern = cache.kernel(gasket, 0, 2)
+        with pytest.raises(KernelError, match="sample"):
+            crosscheck_subordination(kern, STABLE, times=[1.0], n_samples=n_samples)
+
     def test_constant_kernel_returns_constant(self):
         c = 0.37
         kern = SpectralKernel(
@@ -107,7 +113,7 @@ class TestQuadratureEquivalence:
         # panels must reach where that mode has died out, long times included
         kern = cache.kernel(gasket, 1, 3, "dirichlet")
         for t in (1.0, 30.0):
-            for i, j in [(0, 0), (3, 17)]:
+            for i, j in [(0, 0), (1, 1), (3, 17)]:
                 quadval = subordinate_quadrature(kern, STABLE, t, i, j)
                 direct = kern.value(t, i, j, exponent=STABLE.laplace_exponent)
                 assert quadval == pytest.approx(direct, rel=1e-12)
@@ -117,7 +123,7 @@ class TestQuadratureEquivalence:
         for kind in ("neumann", "dirichlet"):
             kern = cache.kernel(gasket, 1, 3, kind)
             for t in (0.3, 1.0, 3.0, 30.0):
-                for i, j in [(0, 0), (3, 17), (40, 99)]:
+                for i, j in [(0, 0), (1, 1), (3, 17), (40, 99)]:
                     quadval = subordinate_quadrature(kern, spec, t, i, j)
                     direct = kern.value(t, i, j, exponent=spec.laplace_exponent)
                     assert quadval == pytest.approx(direct, rel=1e-12)

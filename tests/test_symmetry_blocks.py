@@ -1,11 +1,13 @@
-"""The symmetry-blocked eigendecomposition against oracles that share none of
-its code: a dense ``np.linalg.eigh`` of the whole symmetrized generator, the
+"""The sparse generator and the symmetry-blocked eigendecomposition against
+oracles that share none of their code: a dense generator filled edge by
+edge, a dense ``np.linalg.eigh`` of the whole symmetrized generator, the
 exact reflections of the vertex points, and spectral decimation."""
 
 import functools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from fractalheat import (
     build_generator,
@@ -53,24 +55,51 @@ def _blocked(name, M, depth, bc):
     return kern, tuple(sizes)
 
 
+def _dense_generator(graph) -> np.ndarray:
+    """The walk generator as a dense matrix, filled one edge at a time; the
+    diagonal is minus the dense row sum."""
+    n = graph.n_vertices
+    rate = float(graph.system.L) ** (graph.system.walk_dim * graph.depth)
+    q = np.zeros((n, n))
+    for u, v in graph.edges:
+        q[u, v] = rate / graph.incident[u]
+        q[v, u] = rate / graph.incident[v]
+    q[np.diag_indices(n)] = -q.sum(axis=1)
+    return q
+
+
+@pytest.mark.parametrize(
+    "name, M, depth",
+    [("gasket", M, depth) for M in (0, 1, 2) for depth in (2, 3, 4, 5)]
+    + [("interval", M, depth) for M, depth in ((0, 4), (2, 5), (1, 6))],
+)
+def test_sparse_generator_matches_the_dense_one_bitwise(name, M, depth):
+    graph = build_vertex_graph(SYSTEMS[name](), M, depth)
+    q = build_generator(graph).matrix
+    assert q.has_sorted_indices
+    assert np.array_equal(q.toarray(), _dense_generator(graph))
+
+
 def _dense_oracle(kern: SpectralKernel) -> SpectralKernel:
     """The same kernel from one dense ``eigh`` of the whole symmetrized
-    generator, as the decomposition was computed before it was blocked."""
+    generator, killed at the corners when ``kern`` is, as the decomposition
+    was computed before it was blocked."""
     graph = kern.graph
-    q = build_generator(graph).matrix
-    rows = np.arange(graph.n_vertices) if kern.index_map is None else kern.index_map
-    q = q[np.ix_(rows, rows)]
+    rows = np.arange(graph.n_vertices)
+    if not kern.conservative:
+        rows = np.setdiff1d(rows, graph.corner_indices())
+    q = _dense_generator(graph)[np.ix_(rows, rows)]
     s = np.sqrt(graph.measure[rows])
     sym = q * np.outer(s, 1.0 / s)
     w, v = np.linalg.eigh((sym + sym.T) / 2.0)
-    lam = np.clip(-w[::-1], 0.0, None)
+    psi = np.zeros((graph.n_vertices, len(w)))
+    psi[rows] = v[:, ::-1]
     return SpectralKernel(
         graph=graph,
-        eigenvalues=lam,
-        psi=np.ascontiguousarray(v[:, ::-1]),
-        mu=graph.measure[rows],
+        eigenvalues=np.clip(-w[::-1], 0.0, None),
+        psi=psi,
+        mu=graph.measure,
         conservative=kern.conservative,
-        index_map=kern.index_map,
     )
 
 
@@ -101,28 +130,29 @@ class TestAgainstDenseEigh:
         kern, _ = _blocked(*case)
         assert kern.psi.flags.c_contiguous
         gram = kern.psi.T @ kern.psi
-        assert np.abs(gram - np.eye(kern.n)).max() <= 1e-13
+        assert np.abs(gram - np.eye(len(kern.eigenvalues))).max() <= 1e-13
 
     def test_one_block_per_irrep(self, case):
         # D3 on the gasket: trivial, det and the 2-D irrep, whose second copy
         # needs no eigh; Z2 on the interval.  A fall-back to the trivial group
         # (one dense block) fails here.
         kern, sizes = _blocked(*case)
+        n = len(kern.eigenvalues)
         if case[0] == "gasket":
             assert len(sizes) == 3
             trivial, det, two_dim = sizes
-            assert trivial + det + 2 * two_dim == kern.n
-            assert max(sizes) <= kern.n // 3 + 1
+            assert trivial + det + 2 * two_dim == n
+            assert max(sizes) <= n // 3 + 1
         else:
             assert len(sizes) == 2
-            assert sum(sizes) == kern.n
+            assert sum(sizes) == n
 
 
 def test_broken_symmetry_gives_one_dense_block(monkeypatch):
     # one edge at double rate: no reflection passes the certificate, so the
     # group is trivial and the result is the plain dense decomposition
     graph = build_vertex_graph(sierpinski_gasket(), 1, 2)
-    q = build_generator(graph).matrix.copy()
+    q = _dense_generator(graph)
     u, v = graph.edges[0]
     q[u, u] -= q[u, v]
     q[v, v] -= q[v, u]
@@ -131,7 +161,7 @@ def test_broken_symmetry_gives_one_dense_block(monkeypatch):
     corners = [graph.points[c] for c in graph.corner_indices()]
     eigh, sizes = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-    lam, psi = kernels._symmetric_eigh(q, graph.measure, graph.coords, corners)
+    lam, psi = kernels._symmetric_eigh(csr_array(q), graph.measure, graph.coords, corners)
     assert sizes == [graph.n_vertices]
     s = np.sqrt(graph.measure)
     sym = q * np.outer(s, 1.0 / s)
