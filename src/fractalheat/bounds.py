@@ -501,15 +501,23 @@ def _ratio_stats_over_times(
         num = study.folded_matrix(t, spec)
         if denominator == "free":
             den = study.free_matrix(t, spec)
+            den_at = den.ravel()[pos]
         elif denominator == "flat":
-            den = np.full_like(num, 1.0 / lmd)
+            den = 1.0 / lmd
+            den_at = np.full(len(pos), den)
         else:
             raise BoundError(denominator)
-        ratio = np.maximum(num, CLAMP) / np.maximum(den, CLAMP)
+        gap = max(gap, float((den - num).max()))
+        num_at = num.ravel()[pos]
+        # clamp in place; the ratio overwrites the folded block
+        ratio = np.maximum(num, CLAMP, out=num)
+        if denominator == "free":
+            ratio /= np.maximum(den, CLAMP, out=den)
+        else:
+            ratio /= max(den, CLAMP)
         gmin = min(gmin, float(ratio.min()))
         gmax = max(gmax, float(ratio.max()))
-        gap = max(gap, float((den - num).max()))
-        samples += _samples(t, pairs, *(a.ravel()[pos] for a in (num, den, ratio)))
+        samples += _samples(t, pairs, num_at, den_at, ratio.ravel()[pos])
         # free this time's blocks before the next time's are computed
         del num, den, ratio
     return gmin, gmax, gap, samples

@@ -16,13 +16,14 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import LinearMap2, Q3, Vec2, sort_points
+from .exact import _SQRT3, LinearMap2, Q3, Vec2, sort_points
 
 
 class FractalError(ValueError):
@@ -594,10 +595,13 @@ class VertexGraph:
     incident: tuple[int, ...]
     measure_exact: tuple[Fraction, ...]
     point_index: dict[Vec2, int] = field(repr=False)
+    # float points, n x 2; computed from ``points`` when not given
+    coords: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.measure = np.array([float(m) for m in self.measure_exact])
-        self.coords = np.array([p.to_floats() for p in self.points])
+        if self.coords is None:
+            self.coords = np.array([p.to_floats() for p in self.points])
         self._adjacency: list[list[int]] | None = None
 
     @property
@@ -660,7 +664,17 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
     """Graph on the corners of all scale ``L^-depth`` cells of ``K<<M>>``.
 
     Edges join corners of a common cell; each cell spreads its exact mass
-    ``N**-depth`` equally over its corners.
+    ``N**-depth`` equally over its corners.  Cells come in word order (as
+    :func:`enumerate_cells` lists them) and points in order of first
+    occurrence among their corners.
+
+    The geometry is done on an integer lattice: every coordinate ``a + b
+    sqrt3`` is held as the integers ``(a S, b S)`` over one common
+    denominator S of the scaled translations and base corners, so cell
+    offsets and corners are int64 sums and the points are deduplicated as
+    integer rows.  Each exact point and cell offset is formed once, and
+    ``coords`` comes from the integers as ``A/S + (B/S) * sqrt3``, the same
+    bits as :meth:`Vec2.to_floats`.
     """
     if depth < 0:
         raise FractalError("depth must be >= 0")
@@ -668,45 +682,81 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
         raise FractalError(
             "vertex graphs require identity isometry parts (shipped fractals)"
         )
-    cells = enumerate_cells(system, M, -depth)
-    point_index: dict[Vec2, int] = {}
-    points: list[Vec2] = []
-    incident: list[int] = []
-    edge_set: set[tuple[int, int]] = set()
-    graph_cells: list[GraphCell] = []
-    scale = system.L ** (-depth)
-    base_corners = [v.scaled(scale) for v in system.essential_vertices]
-    for cell in cells:
-        idx: list[int] = []
-        for corner in base_corners:
-            p = corner + cell.offset
-            k = point_index.get(p)
-            if k is None:
-                k = len(points)
-                point_index[p] = k
-                points.append(p)
-                incident.append(0)
-            incident[k] += 1
-            idx.append(k)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                u, v = idx[a], idx[b]
-                edge_set.add((u, v) if u < v else (v, u))
-        graph_cells.append(GraphCell(cell, tuple(idx)))
-    k_ess = system.n_essential
+    # letters at scales L^M, ..., L^(1-depth), then the corners of the base cell
+    shifts = [
+        [m.translation.scaled(system.L**j) for m in system.maps]
+        for j in range(M, -depth, -1)
+    ]
+    base = [v.scaled(system.L ** (-depth)) for v in system.essential_vertices]
+    denom, (*letters, base_int) = _common_lattice(shifts + [base])
+    offsets = np.zeros((1, 4), dtype=np.int64)
+    for shift in letters:  # word order: the first letter varies slowest
+        offsets = (offsets[:, None, :] + shift[None, :, :]).reshape(-1, 4)
+    corners = (offsets[:, None, :] + base_int[None, :, :]).reshape(-1, 4)
+    rows, first, inverse = np.unique(
+        corners, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    idx = rank[inverse.ravel()].reshape(len(offsets), len(base))
+    lattice = rows[order]
+    n = len(lattice)
+
+    incident = np.bincount(idx.ravel(), minlength=n)
+    a, b = np.triu_indices(len(base), 1)
+    u, v = idx[:, a].ravel(), idx[:, b].ravel()
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+
+    fractions = {
+        k: Fraction(k, denom)
+        for k in np.unique(np.r_[offsets.ravel(), lattice.ravel()]).tolist()
+    }
+
+    def exact(r) -> Vec2:
+        return Vec2(
+            Q3(fractions[r[0]], fractions[r[1]]), Q3(fractions[r[2]], fractions[r[3]])
+        )
+
+    points = tuple(exact(r) for r in lattice.tolist())
+    words = itertools.product(range(system.n_maps), repeat=M + depth)
+    cells = tuple(
+        GraphCell(CellAddress(-depth, word, exact(r)), tuple(i))
+        for word, r, i in zip(words, offsets.tolist(), idx.tolist())
+    )
     cell_mass = Fraction(system.n_maps) ** (-depth)
-    measure = tuple(Fraction(c) * cell_mass / k_ess for c in incident)
+    masses = {c: Fraction(c) * cell_mass / system.n_essential for c in set(incident.tolist())}
+    # columns (x.a, y.a) and (x.b, y.b): the rational and the sqrt3 parts
+    coords = lattice[:, 0::2] / denom + (lattice[:, 1::2] / denom) * _SQRT3
     return VertexGraph(
         system=system,
         M=M,
         depth=depth,
-        points=tuple(points),
-        edges=tuple(sorted(edge_set)),
-        cells=tuple(graph_cells),
-        incident=tuple(incident),
-        measure_exact=measure,
-        point_index=point_index,
+        points=points,
+        edges=tuple(zip((keys // n).tolist(), (keys % n).tolist())),
+        cells=cells,
+        incident=tuple(incident.tolist()),
+        measure_exact=tuple(masses[c] for c in incident.tolist()),
+        point_index={p: k for k, p in enumerate(points)},
+        coords=coords,
     )
+
+
+def _common_lattice(groups: list[list[Vec2]]) -> tuple[int, list[np.ndarray]]:
+    """One common denominator S of every coordinate in ``groups`` and, per
+    group, the numerators ``(x.a, x.b, y.a, y.b) * S`` as int64 rows.
+
+    Raises :class:`FractalError` when a sum of one row from each group, or
+    S itself, could leave the range in which int64 sums and float64
+    quotients are exact (2^53)."""
+    parts = [[(p.x.a, p.x.b, p.y.a, p.y.b) for p in group] for group in groups]
+    denom = math.lcm(*(f.denominator for part in parts for row in part for f in row))
+    ints = [[[f.numerator * (denom // f.denominator) for f in row] for row in part]
+            for part in parts]
+    reach = sum(max(abs(k) for row in part for k in row) for part in ints)
+    if max(reach, denom) >= 2**53:
+        raise FractalError("graph too fine for the integer lattice of its coordinates")
+    return denom, [np.array(part, dtype=np.int64).reshape(-1, 4) for part in ints]
 
 
 def gasket_vertex_count(depth: int) -> int:

@@ -49,6 +49,12 @@ from .labeling import LabelMap
 # errors far below every declared tolerance
 _TRUNCATION_EXPONENT = 60.0
 
+# rows or columns of an n x n array rewritten at a time (the lift into
+# sorted columns, the zero-mode projection, the measure divided out of a
+# kernel block), so the transients are a few n x 64 bands that stay in cache
+# instead of a second n x n array
+_BAND = 64
+
 
 class KernelError(RuntimeError):
     pass
@@ -130,16 +136,28 @@ class SpectralKernel:
 
     def matrix(self, t: float, rows=None, exponent=None) -> np.ndarray:
         """Dense kernel block over all vertices, or over ``rows`` on both
-        axes; exactly symmetric."""
+        axes; exactly symmetric.
+
+        The rates ascend and every exponent increases, so the kept modes are
+        a prefix of m columns (KernelError otherwise).  The block is one
+        product ``z @ z.T`` of the scaled prefix, which numpy computes as a
+        symmetric rank-m update (syrk) and mirrors, so it comes out exactly
+        symmetric; the measure is divided out in place, a band of rows at a
+        time.
+        """
         w = self.weights(t, exponent)
-        keep = w > 0
-        psi, s = self.psi, self.sqrt_mu
-        if rows is not None:  # scale only the rows the block keeps
-            psi, s = psi[rows], s[rows]
-        z = psi[:, keep] * np.sqrt(w[keep])
-        g = np.triu(z @ z.T)
-        g = g + np.triu(g, 1).T
-        return g / np.outer(s, s)
+        m = int(np.count_nonzero(w))
+        if not w[:m].all():
+            raise KernelError("kept modes must be a prefix: the rates must ascend")
+        if rows is None:
+            z, s = self.psi[:, :m] * np.sqrt(w[:m]), self.sqrt_mu
+        else:  # one gather of the rows the block keeps, scaled in place
+            z, s = self.psi[rows, :m], self.sqrt_mu[rows]
+            z *= np.sqrt(w[:m])
+        g = z @ z.T
+        for lo in range(0, len(s), _BAND):
+            g[lo : lo + _BAND] /= np.outer(s[lo : lo + _BAND], s)
+        return g
 
     def value(self, t: float, i, j, exponent=None):
         """Kernel values at the pairs ``(i, j)``: integer arrays broadcast
@@ -160,7 +178,9 @@ class SpectralKernel:
         return float(np.abs(self.row_mass(t, exponent) - 1.0).max())
 
 
-def _symmetric_eigh(q: csr_array, mu: np.ndarray, coords: np.ndarray, corners):
+def _symmetric_eigh(
+    q: csr_array, mu: np.ndarray, coords: np.ndarray, corners, keep=None
+):
     """Rates ``lambda`` (ascending) and counting-measure orthonormal
     eigenvectors of the generator ``q`` (CSR, sorted indices), symmetrized
     against ``mu``, one block per irrep of the symmetry group G of
@@ -180,7 +200,12 @@ def _symmetric_eigh(q: csr_array, mu: np.ndarray, coords: np.ndarray, corners):
     ``eigh`` per irrep runs on ``B^T S B`` for a sparse orthonormal basis B
     of one copy of its component; the other copy of the 2-D component has
     the same eigenvalues and takes its vectors through the intertwining
-    basis.  The blocks merge in ascending order of rate.
+    basis.  The blocks merge in ascending order of rate: once every block is
+    solved, each one's lifted vectors are written, a chunk of columns at a
+    time, straight into their sorted columns.
+
+    ``keep`` (a boolean mask over the rows of the result) pads the vectors:
+    row i of ``q`` fills the i-th kept row, and the other rows are 0.
 
     Both come back C-contiguous, as a cache load returns them, so a run
     that decomposes and a run that reads the cache compute identical bytes.
@@ -197,28 +222,43 @@ def _symmetric_eigh(q: csr_array, mu: np.ndarray, coords: np.ndarray, corners):
     if reps is None:
         perms, lins = perms[:1], lins[:1]
         reps = _real_irreps(lins)
-    rates, start = [], 0
-    psi = np.empty((n, n))
-    for size, col, val in _isotypic_bases(perms, reps):
-        # B^T S B over the nonzeros of S, B stored as (column, value) slots per row
-        pairs = col[rows][:, :, None] * size + col[cols][:, None, :]
-        terms = val[0][rows][:, :, None] * sym[:, None, None] * val[0][cols][:, None, :]
-        block = np.bincount(pairs.ravel(), terms.ravel(), minlength=size * size)
-        try:
-            w, v = np.linalg.eigh(block.reshape(size, size))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise KernelError(f"eigendecomposition failed: {exc}") from exc
-        v = np.ascontiguousarray(v[:, ::-1])  # ascending rates, as -w[::-1]
-        for copy in val:  # B_i v, one copy of the eigenvectors per component
-            out = psi[:, start : start + size]
-            np.multiply(copy[:, :1], np.take(v, col[:, 0], axis=0), out=out)
-            for j in range(1, col.shape[1]):
-                out += copy[:, j : j + 1] * np.take(v, col[:, j], axis=0)
-            rates.append(-w[::-1])
-            start += size
-    rates = np.concatenate(rates)
+    blocks = [
+        (col, val, *_block_eigh(size, col, val[0], rows, cols, sym))
+        for size, col, val in _isotypic_bases(perms, reps)
+    ]
+    # one column per (block, copy), in block order, ascending within each
+    rates = np.concatenate([w for _, val, w, _ in blocks for _copy in val])
     order = np.argsort(rates, kind="stable")
-    return rates[order], np.take(psi, order, axis=1)
+    dest = np.empty(n, dtype=np.intp)
+    dest[order] = np.arange(n)
+    out_rows = np.arange(n) if keep is None else np.flatnonzero(keep)
+    psi = np.empty((n, n)) if keep is None else np.zeros((len(keep), n))
+    start = 0
+    for col, val, w, v in blocks:
+        for copy in val:  # B_i v, one copy of the eigenvectors per component
+            for lo in range(0, len(w), _BAND):
+                vc = v[:, lo : lo + _BAND]
+                out = copy[:, :1] * np.take(vc, col[:, 0], axis=0)
+                for j in range(1, col.shape[1]):
+                    out += copy[:, j : j + 1] * np.take(vc, col[:, j], axis=0)
+                cols_out = dest[start + lo : start + lo + out.shape[1]]
+                psi[np.ix_(out_rows, cols_out)] = out
+            start += len(w)
+    return rates[order], psi
+
+
+def _block_eigh(size, col, val, rows, cols, sym):
+    """Ascending rates and eigenvectors (a reversed view of ``eigh``'s) of
+    ``B^T S B`` for one isotypic basis B, stored as (column, value) slots
+    per row, over the nonzeros ``sym`` of S at ``(rows, cols)``."""
+    pairs = col[rows][:, :, None] * size + col[cols][:, None, :]
+    terms = val[rows][:, :, None] * sym[:, None, None] * val[cols][:, None, :]
+    block = np.bincount(pairs.ravel(), terms.ravel(), minlength=size * size)
+    try:
+        w, v = np.linalg.eigh(block.reshape(size, size))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise KernelError(f"eigendecomposition failed: {exc}") from exc
+    return -w[::-1], v[:, ::-1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -353,7 +393,10 @@ def spectral_decompose(gen: Generator) -> SpectralKernel:
     # rounded copy
     zero = np.sqrt(mu) / np.sqrt(mu.sum())
     psi[:, 0] = zero
-    psi[:, 1:] -= np.outer(zero, zero @ psi[:, 1:])
+    overlap = zero @ psi[:, 1:]
+    for lo in range(1, len(lam), _BAND):  # a rank-one update in column chunks
+        hi = lo + _BAND
+        psi[:, lo:hi] -= np.outer(zero, overlap[lo - 1 : hi - 1])
     np.clip(lam, 0.0, None, out=lam)
     return SpectralKernel(
         graph=gen.graph, eigenvalues=lam, psi=psi, mu=mu, conservative=True
@@ -475,22 +518,22 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
     the kernel is 0 wherever a corner is one of the pair."""
     gen = build_generator(graph)
     corners = graph.corner_indices()
-    keep = np.setdiff1d(np.arange(graph.n_vertices), corners)
+    keep = np.ones(graph.n_vertices, dtype=bool)
+    keep[corners] = False
     lam, psi = _symmetric_eigh(
         gen.matrix[keep][:, keep],
         graph.measure[keep],
         graph.coords[keep],
         [graph.points[c] for c in corners],
+        keep=keep,
     )
     # killing at the corners makes every rate strictly positive
     if not lam[0] > 1e-8 * float(np.abs(lam).max()):
         raise KernelError(
             f"killed generator must have positive rates, got smallest {lam[0]:.3e}"
         )
-    full = np.zeros((graph.n_vertices, len(lam)))
-    full[keep] = psi
     return SpectralKernel(
-        graph=graph, eigenvalues=lam, psi=full, mu=graph.measure, conservative=False
+        graph=graph, eigenvalues=lam, psi=psi, mu=graph.measure, conservative=False
     )
 
 

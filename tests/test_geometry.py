@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fractalheat import (
@@ -191,3 +192,54 @@ class TestVertexGraph:
         assert g.n_edges == 8
         degrees = sorted(len(nb) for nb in g.adjacency)
         assert degrees == [1, 1] + [2] * 7
+
+
+def _fraction_graph(system, M, depth):
+    """The vertex graph as an exact Fraction loop forms it: cells in word
+    order, each corner deduplicated by a dict of exact points, edges as a
+    sorted set.  The oracle for the integer-lattice build."""
+    points, point_index, incident, edges, cells = [], {}, [], set(), []
+    base = [v.scaled(system.L ** (-depth)) for v in system.essential_vertices]
+    for cell in enumerate_cells(system, M, -depth):
+        idx = []
+        for corner in base:
+            p = corner + cell.offset
+            if p not in point_index:
+                point_index[p] = len(points)
+                points.append(p)
+                incident.append(0)
+            incident[point_index[p]] += 1
+            idx.append(point_index[p])
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                edges.add((min(idx[a], idx[b]), max(idx[a], idx[b])))
+        cells.append((cell, tuple(idx)))
+    cell_mass = Fraction(system.n_maps) ** (-depth)
+    measure = [Fraction(c) * cell_mass / system.n_essential for c in incident]
+    return points, point_index, sorted(edges), cells, incident, measure
+
+
+@pytest.mark.parametrize("name", ["gasket", "interval"])
+@pytest.mark.parametrize("M", range(3))
+@pytest.mark.parametrize("depth", range(6))
+def test_lattice_build_matches_fraction_loop(request, name, M, depth):
+    system = request.getfixturevalue(name)
+    g = build_vertex_graph(system, M, depth)
+    points, point_index, edges, cells, incident, measure = _fraction_graph(system, M, depth)
+    assert g.points == tuple(points)
+    assert g.point_index == point_index
+    assert list(g.point_index.values()) == list(point_index.values())
+    assert g.edges == tuple(edges)
+    assert [(c.address, c.corner_indices) for c in g.cells] == cells
+    assert g.incident == tuple(incident)
+    assert g.measure_exact == tuple(measure)
+    coords = np.array([p.to_floats() for p in points])
+    assert g.coords.tobytes() == coords.tobytes() and g.coords.shape == coords.shape
+    exact_measure = np.array([float(m) for m in measure])
+    assert g.measure.tobytes() == exact_measure.tobytes()
+
+
+def test_lattice_rejects_coordinates_past_float_range(gasket):
+    # L^60 denominators leave the range in which the lattice is exact
+    with pytest.raises(FractalError, match="integer lattice"):
+        build_vertex_graph(gasket, 0, 60)

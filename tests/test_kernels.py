@@ -125,6 +125,65 @@ class TestSpectralKernel:
         np.testing.assert_allclose(block, kern.matrix(0.7)[np.ix_(rows, rows)], rtol=1e-12)
 
 
+
+def _triu_matrix(kern, t, rows=None, exponent=None):
+    """The kernel block by the triangle formula: kept modes by mask, the
+    upper triangle of ``z @ z.T`` mirrored, then the measure divided out.
+    The oracle for :meth:`SpectralKernel.matrix`."""
+    w = kern.weights(t, exponent)
+    keep = w > 0
+    psi, s = kern.psi, kern.sqrt_mu
+    if rows is not None:
+        psi, s = psi[rows], s[rows]
+    z = psi[:, keep] * np.sqrt(w[keep])
+    g = np.triu(z @ z.T)
+    g = g + np.triu(g, 1).T
+    return g / np.outer(s, s)
+
+
+class TestMatrixOracle:
+    M, WINDOW, DEPTH = 1, 2, 3
+
+    def _blocks(self, gasket, cache):
+        """(kernel, rows) for the folded kernel, the window kernel on the
+        folded points and the killed window kernel."""
+        folded = cache.kernel(gasket, self.M, self.DEPTH)
+        window = cache.kernel(gasket, self.WINDOW, self.DEPTH)
+        killed = cache.kernel(gasket, self.WINDOW, self.DEPTH, "dirichlet")
+        sub = np.array([window.graph.index_of(p) for p in folded.graph.points])
+        return {"folded": (folded, None), "window": (window, sub), "killed": (killed, sub)}
+
+    @pytest.mark.parametrize("block", ["folded", "window", "killed"])
+    @pytest.mark.parametrize(
+        "spec",
+        [None, SubordinatorSpec("stable", 0.5), SubordinatorSpec("relativistic", 0.5, 1.0)],
+        ids=lambda s: "heat" if s is None else s.label(),
+    )
+    def test_matches_triangle_formula(self, gasket, cache, block, spec):
+        kern, rows = self._blocks(gasket, cache)[block]
+        exponent = None if spec is None else spec.laplace_exponent
+        rates = kern.eigenvalues if exponent is None else exponent(kern.eigenvalues)
+        # from t_min out past the time at which only the zero mode is kept
+        # (no mode at all on the killed kernel)
+        t_min = 0.01 * float(gasket.L) ** (self.M * gasket.walk_dim)
+        t_end = 2.0 * kernels._TRUNCATION_EXPONENT / rates[rates > 0].min()
+        times = np.geomspace(t_min, t_end, 9)
+        kept = []
+        for t in times:
+            g = kern.matrix(t, rows=rows, exponent=exponent)
+            assert np.array_equal(g, _triu_matrix(kern, t, rows, exponent))
+            assert np.array_equal(g, g.T)
+            kept.append(np.count_nonzero(kern.weights(t, exponent)))
+        assert kept[0] > 1
+        assert kept[-1] == (1 if kern.conservative else 0)
+
+    def test_decreasing_exponent_rejected(self, gasket, cache):
+        kern = cache.kernel(gasket, 0, 3)
+        top = float(kern.eigenvalues[-1])
+        t = 4.0 * kernels._TRUNCATION_EXPONENT / top  # keeps only the top modes
+        with pytest.raises(KernelError, match="prefix"):
+            kern.matrix(t, exponent=lambda lam: top - lam)
+
 class TestReflectedKernel:
     def test_long_time_limit(self, gasket, cache):
         for M in (0, 1):
@@ -186,8 +245,8 @@ class TestTruncatedFreeKernel:
     def test_killed_kernel_rejects_zero_rate(self, gasket, cache, monkeypatch):
         eigh = kernels._symmetric_eigh
 
-        def zero_rate(q, mu, coords, corners):
-            lam, psi = eigh(q, mu, coords, corners)
+        def zero_rate(q, mu, coords, corners, **kwargs):
+            lam, psi = eigh(q, mu, coords, corners, **kwargs)
             lam[0] = 0.0
             return lam, psi
 
@@ -198,9 +257,10 @@ class TestTruncatedFreeKernel:
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_decomposition_peak_memory(gasket, cache, bc):
-    # numpy reports its buffers to tracemalloc.  The eigenvectors and their
-    # reordered copy take 2 * 8 n^2 bytes; a dense generator or a dense copy
-    # of it would add another 8 n^2 each.
+    # numpy reports its buffers to tracemalloc.  The eigenvectors take
+    # 8 n^2 bytes and the blocks' vectors about a sixth of that; a reordered
+    # copy of the eigenvectors, a dense generator or a dense copy of it would
+    # each add another 8 n^2.
     graph = cache.graph(gasket, 2, 4)
     n = graph.n_vertices
     assert n == 1095
@@ -213,7 +273,7 @@ def test_decomposition_peak_memory(gasket, cache, bc):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * 8 * n * n
+    assert peak <= 1.9 * 8 * n * n
 
 
 class TestFoldingCrosscheck:
