@@ -595,13 +595,10 @@ class VertexGraph:
     incident: tuple[int, ...]
     measure_exact: tuple[Fraction, ...]
     point_index: dict[Vec2, int] = field(repr=False)
-    # float points, n x 2; computed from ``points`` when not given
-    coords: np.ndarray | None = field(default=None, repr=False, compare=False)
+    coords: np.ndarray = field(repr=False, compare=False)  # float points, n x 2
 
     def __post_init__(self):
         self.measure = np.array([float(m) for m in self.measure_exact])
-        if self.coords is None:
-            self.coords = np.array([p.to_floats() for p in self.points])
         self._adjacency: list[list[int]] | None = None
 
     @property
@@ -678,6 +675,8 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
     """
     if depth < 0:
         raise FractalError("depth must be >= 0")
+    if -depth > M:
+        raise FractalError(f"cell level {-depth} exceeds ambient level {M}")
     if not system.has_identity_isometries:
         raise FractalError(
             "vertex graphs require identity isometry parts (shipped fractals)"
