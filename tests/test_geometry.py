@@ -248,6 +248,4 @@ def test_lattice_rejects_coordinates_past_float_range(gasket):
 @pytest.mark.parametrize("M, depth", [(-1, 0), (-3, 2)])
 def test_lattice_rejects_cells_above_ambient_level(gasket, M, depth):
     with pytest.raises(FractalError, match="exceeds ambient level"):
-        enumerate_cells(gasket, M, -depth)
-    with pytest.raises(FractalError, match="exceeds ambient level"):
         build_vertex_graph(gasket, M, depth)
