@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FractalSystem
+from .geometry import FractalSystem, point_positions
 from .kernels import KernelCache, KernelError, SpectralKernel, default_cache
 from .subordinators import SubordinatorSpec
 
@@ -254,15 +254,79 @@ def _lsq_decay_fit(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
 def _minimax_decay_constant(y: np.ndarray, x: np.ndarray, c_max: float = 100.0) -> float:
     """Constant c >= 0 minimizing max(y - c x) - min(y - c x): the tightest
     single-constant sandwich of exp(-c x) against the data."""
-    from scipy.optimize import minimize_scalar
-
     def width(c: float) -> float:
         resid = y - c * x
         return float(resid.max() - resid.min())
 
-    res = minimize_scalar(width, bounds=(0.0, c_max), method="bounded",
-                          options={"xatol": 1e-6})
-    return float(res.x)
+    return _bounded_minimum(width, 0.0, c_max, xatol=1e-6)
+
+
+def _bounded_minimum(f, a: float, b: float, xatol: float, maxfun: int = 500) -> float:
+    """Local minimizer of ``f`` on [a, b] by Brent's bounded method
+    (golden-section steps and parabolic interpolation; Forsythe, Malcolm &
+    Moler, *Computer Methods for Mathematical Computations*, 1977).  It makes
+    the same floating-point steps, in the same order, as
+    ``scipy.optimize.minimize_scalar(method="bounded")``, so it returns the
+    same bits without importing ``scipy.optimize``, whose import costs more
+    than a report's fits."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
 
 
 def fit_envelope_constants(
@@ -339,9 +403,9 @@ class ReflectionStudy:
     folded: SpectralKernel
     window_kernel: SpectralKernel
     sub_indices: np.ndarray  # positions of folded-graph points in window graph
-    distances: np.ndarray  # Euclidean pair distances on the folded graph
     _dirichlet: SpectralKernel | None = None
     _geodesic: np.ndarray | None = None
+    _euclidean: np.ndarray | None = None
     cache: KernelCache | None = None
 
     @classmethod
@@ -360,10 +424,9 @@ class ReflectionStudy:
             raise BoundError("window level must exceed M")
         folded = cache.kernel(system, M, depth)
         window_kernel = cache.kernel(system, window, depth)
-        wgraph = window_kernel.graph
-        sub = np.array(
-            [wgraph.index_of(p) for p in folded.graph.points], dtype=np.int64
-        )
+        sub = point_positions(window_kernel.graph, folded.graph)
+        if (sub < 0).any():
+            raise BoundError("a folded-graph point is not a window-graph point")
         return cls(
             system=system,
             M=M,
@@ -372,7 +435,6 @@ class ReflectionStudy:
             folded=folded,
             window_kernel=window_kernel,
             sub_indices=sub,
-            distances=folded.graph.distance_matrix(),
             cache=cache,
         )
 
@@ -399,11 +461,17 @@ class ReflectionStudy:
             self._geodesic = hops * float(self.system.L) ** (-self.depth)
         return self._geodesic
 
+    def euclidean_distances(self) -> np.ndarray:
+        """Euclidean pair distances on the folded graph."""
+        if self._euclidean is None:
+            self._euclidean = self.folded.graph.distance_matrix()
+        return self._euclidean
+
     def metric(self, name: str) -> np.ndarray:
         if name == "geodesic":
             return self.geodesic_distances()
         if name == "euclidean":
-            return self.distances
+            return self.euclidean_distances()
         raise BoundError(f"unknown metric {name!r}")
 
     def folded_matrix(self, t: float, spec: SubordinatorSpec | None = None):
@@ -653,6 +721,9 @@ def relativistic_comparison_reports(
     dist = study.metric(metric)
     levels, level_of = np.unique(dist, return_inverse=True)
     level_of = level_of.ravel()
+    # the block entries grouped by distance level, each level one run
+    by_level = np.argsort(level_of)
+    starts = np.searchsorted(level_of[by_level], np.arange(len(levels)))
     rng = np.random.default_rng(seed)
 
     def add_regime_reports(times, regimes) -> None:
@@ -660,8 +731,8 @@ def relativistic_comparison_reports(
         per time; ``keep`` picks the distance levels of a regime (None: all).
         A form depends on a pair only through (t, r), and max(v, CLAMP) / shape
         grows with v, so the per-level kernel extremes give the ratio extremes."""
-        lo = np.full((len(times), len(levels)), np.inf)
-        hi = np.full_like(lo, -np.inf)
+        lo = np.empty((len(times), len(levels)))
+        hi = np.empty_like(lo)
         plot_pairs, plot_vals, fit_pool, fit_draws = {}, {}, {}, {}
         for name, kind, keep in regimes:
             if keep is None:
@@ -678,8 +749,9 @@ def relativistic_comparison_reports(
         for k, t in enumerate(times):
             block = study.folded_matrix(t, spec)
             flat = block.ravel()
-            np.minimum.at(lo[k], level_of, flat)
-            np.maximum.at(hi[k], level_of, flat)
+            grouped = flat[by_level]
+            np.minimum.reduceat(grouped, starts, out=lo[k])
+            np.maximum.reduceat(grouped, starts, out=hi[k])
             for name, ij in plot_pairs.items():
                 plot_vals[name].append(block[ij[:, 0], ij[:, 1]])
             for name, pool in fit_pool.items():

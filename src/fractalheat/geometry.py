@@ -596,6 +596,9 @@ class VertexGraph:
     measure_exact: tuple[Fraction, ...]
     point_index: dict[Vec2, int] = field(repr=False)
     coords: np.ndarray = field(repr=False, compare=False)  # float points, n x 2
+    # the exact points as int64 rows (x.a, x.b, y.a, y.b) * lattice_denom
+    lattice: np.ndarray = field(repr=False, compare=False)
+    lattice_denom: int = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.measure = np.array([float(m) for m in self.measure_exact])
@@ -669,9 +672,10 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
     sqrt3`` is held as the integers ``(a S, b S)`` over one common
     denominator S of the scaled translations and base corners, so cell
     offsets and corners are int64 sums and the points are deduplicated as
-    integer rows.  Each exact point and cell offset is formed once, and
-    ``coords`` comes from the integers as ``A/S + (B/S) * sqrt3``, the same
-    bits as :meth:`Vec2.to_floats`.
+    integer rows, kept as ``lattice`` with ``lattice_denom`` S.  Each exact
+    point and cell offset is formed once, and ``coords`` comes from the
+    integers as ``A/S + (B/S) * sqrt3``, the same bits as
+    :meth:`Vec2.to_floats`.
     """
     if depth < 0:
         raise FractalError("depth must be >= 0")
@@ -738,6 +742,8 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
         measure_exact=tuple(masses[c] for c in incident.tolist()),
         point_index={p: k for k, p in enumerate(points)},
         coords=coords,
+        lattice=lattice,
+        lattice_denom=denom,
     )
 
 
@@ -748,7 +754,7 @@ def _common_lattice(groups: list[list[Vec2]]) -> tuple[int, list[np.ndarray]]:
     Raises :class:`FractalError` when a sum of one row from each group, or
     S itself, could leave the range in which int64 sums and float64
     quotients are exact (2^53)."""
-    parts = [[(p.x.a, p.x.b, p.y.a, p.y.b) for p in group] for group in groups]
+    parts = [[_rational_parts(p) for p in group] for group in groups]
     denom = math.lcm(*(f.denominator for part in parts for row in part for f in row))
     ints = [[[f.numerator * (denom // f.denominator) for f in row] for row in part]
             for part in parts]
@@ -756,6 +762,91 @@ def _common_lattice(groups: list[list[Vec2]]) -> tuple[int, list[np.ndarray]]:
     if max(reach, denom) >= 2**53:
         raise FractalError("graph too fine for the integer lattice of its coordinates")
     return denom, [np.array(part, dtype=np.int64).reshape(-1, 4) for part in ints]
+
+
+def _rational_parts(p: Vec2) -> tuple[Fraction, ...]:
+    """The lattice columns of a point: ``(x.a, x.b, y.a, y.b)``."""
+    return p.x.a, p.x.b, p.y.a, p.y.b
+
+
+# the rational and sqrt3 units of both coordinates: a basis of Q(sqrt3)^2
+# over Q, in the order of the lattice columns
+_RATIONAL_BASIS = (
+    Vec2(Q3.ONE, Q3.ZERO),
+    Vec2(Q3.of(0, 1), Q3.ZERO),
+    Vec2(Q3.ZERO, Q3.ONE),
+    Vec2(Q3.ZERO, Q3.of(0, 1)),
+)
+
+
+def rational_affine(f) -> tuple[tuple, tuple]:
+    """A map ``f`` of Q(sqrt3)^2 that is Q-affine in the lattice columns (a
+    bisector reflection is) as its rational 4x4 matrix and shift."""
+    origin = f(Vec2.ZERO)
+    columns = [_rational_parts(f(e) - origin) for e in _RATIONAL_BASIS]
+    return tuple(zip(*columns)), _rational_parts(origin)
+
+
+def mapped_rows(lattice: np.ndarray, denom: int, matrix, shift) -> np.ndarray:
+    """Row of ``lattice`` (distinct rows ``denom * p``) holding the image of
+    each row under the affine map with rational ``matrix`` and ``shift``;
+    -1 where the image is not a lattice point or not a row.  Exact int64
+    arithmetic; raises :class:`FractalError` when it could overflow."""
+    entries = [f for row in matrix for f in row] + [f * denom for f in shift]
+    d = math.lcm(*(f.denominator for f in entries))
+    a = [[int(f * d) for f in row] for row in matrix]
+    b = [int(f * denom * d) for f in shift]
+    reach = int(np.abs(lattice).max())
+    if max(sum(map(abs, row)) * reach + abs(c) for row, c in zip(a, b)) >= 2**63:
+        raise FractalError("lattice too fine for exact int64 images")
+    image = lattice @ np.array(a, dtype=np.int64).T + np.array(b, dtype=np.int64)
+    rows = lattice_rows(lattice, image // d)
+    rows[(image % d).any(axis=1)] = -1
+    return rows
+
+
+def lattice_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Position in ``table`` (distinct int64 rows) of each of ``rows``, -1
+    where a row is not in the table.
+
+    One exact sorted join: each column's values are ranked among the
+    table's, the ranks are packed into one int64 key per row, and the keys
+    of ``rows`` are looked up in the sorted keys of ``table``.  Raises
+    :class:`FractalError` when the packed keys could overflow int64."""
+    found = np.ones(len(rows), dtype=bool)
+    key_table = np.zeros(len(table), dtype=np.int64)
+    key_rows = np.zeros(len(rows), dtype=np.int64)
+    radix = 1
+    for col_table, col_rows in zip(table.T, rows.T):
+        values, rank = np.unique(col_table, return_inverse=True)
+        at = np.minimum(np.searchsorted(values, col_rows), len(values) - 1)
+        found &= values[at] == col_rows
+        radix *= len(values)
+        if radix >= 2**63:
+            raise FractalError("too many distinct coordinates to pack into int64 keys")
+        key_table = key_table * len(values) + rank.ravel()
+        key_rows = key_rows * len(values) + at
+    order = np.argsort(key_table)
+    at = order[np.minimum(np.searchsorted(key_table, key_rows, sorter=order), len(order) - 1)]
+    found &= key_table[at] == key_rows
+    return np.where(found, at, -1)
+
+
+def point_positions(graph: VertexGraph, sub: VertexGraph) -> np.ndarray:
+    """Position in ``graph`` of each point of the graph ``sub``, -1 where one
+    is not a point of ``graph``: both lattices are brought to one common
+    denominator and joined exactly by :func:`lattice_rows`."""
+    denom = math.lcm(graph.lattice_denom, sub.lattice_denom)
+    table, rows = (
+        _rescaled(g.lattice, denom // g.lattice_denom) for g in (graph, sub)
+    )
+    return lattice_rows(table, rows)
+
+
+def _rescaled(lattice: np.ndarray, factor: int) -> np.ndarray:
+    if int(np.abs(lattice).max()) * factor >= 2**63:
+        raise FractalError("lattices too fine for a common int64 denominator")
+    return lattice * factor
 
 
 def gasket_vertex_count(depth: int) -> int:

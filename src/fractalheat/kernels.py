@@ -17,11 +17,13 @@ indexed by its vertices; the killed one is 0 at the corners of ``K<<M>>``.
 Decomposition: nested fractals are symmetric by axiom, so each generator
 commutes with the group G generated by the bisector reflections of pairs of
 corners of ``K<<M>>`` (D3 on the gasket, Z2 on the interval).
-``_symmetric_eigh`` certifies every element of G as a vertex permutation
-that maps the symmetrized generator and the measure onto themselves bitwise,
-and runs one ``eigh`` per real irrep of G on a sparse orthonormal orbit
-basis; if the certificate fails, G is the trivial group and the one block is
-the dense generator.
+``_symmetric_eigh`` matches every element of G to a vertex permutation
+exactly, with no tolerance, by joining the int64 lattice rows of the
+vertices (``VertexGraph.lattice``) with those of their images; it certifies
+that the permutation maps the symmetrized generator and the measure onto
+themselves bitwise, and runs one ``eigh`` per real irrep of G on a sparse
+orthonormal orbit basis; if the match or the certificate fails, G is the
+trivial group and the one block is the dense generator.
 
 Positivity: spectral evaluation can produce negatives of order -1e-13
 (eigendecomposition noise) at very short times; on the gasket the kernel is
@@ -39,10 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.spatial import cKDTree
 
 from .exact import Vec2
-from .geometry import FractalSystem, VertexGraph, _bisector_reflection, build_vertex_graph
+from .geometry import (
+    FractalSystem,
+    VertexGraph,
+    _bisector_reflection,
+    build_vertex_graph,
+    mapped_rows,
+    rational_affine,
+)
 from .labeling import LabelMap
 
 # exp(-60) ~ 9e-27: dropping spectral terms beyond this leaves reconstruction
@@ -179,7 +187,7 @@ class SpectralKernel:
 
 
 def _symmetric_eigh(
-    q: csr_array, mu: np.ndarray, coords: np.ndarray, corners, keep=None
+    q: csr_array, mu: np.ndarray, lattice: np.ndarray, denom: int, corners, keep=None
 ):
     """Rates ``lambda`` (ascending) and counting-measure orthonormal
     eigenvectors of the generator ``q`` (CSR, sorted indices), symmetrized
@@ -187,12 +195,14 @@ def _symmetric_eigh(
     ``K<<M>>``.
 
     G is generated by the bisector reflections of pairs of ``corners`` (the
-    exact corners of ``K<<M>>``); ``coords`` are the points of the rows of
-    ``q``.  Each element of G is a vertex permutation, matched on ``coords``
-    and certified exactly: it must map the symmetrized generator and ``mu``
-    onto themselves bitwise.  If any reflection fails, or G has a real irrep
-    other than the trivial one, ``det`` and the 2x2 linear part, G is the
-    trivial group: one dense block, the plain dense decomposition.
+    exact corners of ``K<<M>>``); the points of the rows of ``q`` are the
+    integer ``lattice`` rows over ``denom`` (as ``VertexGraph.lattice``).
+    Each element of G is a vertex permutation, matched exactly on the
+    lattice, with no tolerance, and certified exactly: it must map the
+    symmetrized generator and ``mu`` onto themselves bitwise.  If any
+    reflection fails, or G has a real irrep other than the trivial one,
+    ``det`` and the 2x2 linear part, G is the trivial group: one dense
+    block, the plain dense decomposition.
 
     Otherwise (D3 on the gasket, Z2 on the interval) the generator commutes
     with every permutation, so it leaves each isotypic component invariant
@@ -217,7 +227,7 @@ def _symmetric_eigh(
     s = np.sqrt(mu)
     half = q.data * (s[rows] * (1.0 / s)[cols])  # q * outer(s, 1/s)
     sym = (half + half[np.searchsorted(key, cols * n + rows)]) / 2.0
-    perms, lins = _symmetry_group(coords, corners, key, sym, mu)
+    perms, lins = _symmetry_group(lattice, denom, corners, key, sym, mu)
     reps = _real_irreps(lins)
     if reps is None:
         perms, lins = perms[:1], lins[:1]
@@ -262,35 +272,36 @@ def _block_eigh(size, col, val, rows, cols, sym):
 
 
 @functools.lru_cache(maxsize=64)
-def _reflection_map(x: Vec2, y: Vec2) -> tuple[np.ndarray, np.ndarray]:
-    """Linear part and shift, in floats, of the exact bisector reflection of
-    the corners ``x`` and ``y`` (read-only: the cache shares them).  Cached,
-    because the exact arithmetic costs more than a small decomposition."""
+def _reflection_map(x: Vec2, y: Vec2):
+    """The bisector reflection of the corners ``x`` and ``y``: its 2x2
+    linear part in floats (read-only: the cache shares it), and its exact
+    rational matrix and shift on the lattice columns (see
+    :func:`rational_affine`).  Cached, because the exact arithmetic costs
+    more than a small decomposition."""
     refl = _bisector_reflection(x, y)
     shift = np.array(refl(Vec2.ZERO).to_floats())
     images = [refl(e).to_floats() for e in (Vec2.of(1, 0), Vec2.of(0, 1))]
     lin = np.array(images).T - shift[:, None]
-    lin.flags.writeable = shift.flags.writeable = False
-    return lin, shift
+    lin.flags.writeable = False
+    return lin, *rational_affine(refl)
 
 
-def _symmetry_group(coords, corners, key, vals, mu):
+def _symmetry_group(lattice, denom, corners, key, vals, mu):
     """Vertex permutations ``perms`` (|G| x n, the identity first) and linear
     parts ``lins`` (|G| x 2 x 2) of the group generated by the bisector
     reflections of pairs of ``corners``; the trivial group unless every
-    reflection maps the points ``coords`` onto themselves and passes
-    :func:`_is_symmetry`.  ``perms[g][x]`` is the row of the image of row
-    ``x``, so ``perms[gh] = perms[g][perms[h]]``."""
-    n = len(coords)
+    reflection maps the points (the int64 ``lattice`` rows over ``denom``)
+    exactly onto themselves and passes :func:`_is_symmetry`.
+    ``perms[g][x]`` is the row of the image of row ``x``, so ``perms[gh] =
+    perms[g][perms[h]]``."""
+    n = len(lattice)
     trivial = np.arange(n)[None, :], np.eye(2)[None]
-    tree = cKDTree(coords)
-    tol = 1e-9 * max(1.0, float(np.abs(coords).max()))
     gens = []
     for a, x in enumerate(corners):
         for y in corners[a + 1 :]:
-            lin, shift = _reflection_map(x, y)
-            dist, perm = tree.query(coords @ lin.T + shift, distance_upper_bound=tol)
-            if not (np.isfinite(dist).all() and _is_symmetry(perm, key, vals, mu)):
+            lin, matrix, shift = _reflection_map(x, y)
+            perm = mapped_rows(lattice, denom, matrix, shift)
+            if (perm < 0).any() or not _is_symmetry(perm, key, vals, mu):
                 return trivial
             gens.append((perm, lin))
     perms, lins = [np.arange(n)], [np.eye(2)]
@@ -381,7 +392,9 @@ def spectral_decompose(gen: Generator) -> SpectralKernel:
     graph = gen.graph
     mu = graph.measure
     corners = [graph.points[c] for c in graph.corner_indices()]
-    lam, psi = _symmetric_eigh(gen.matrix, mu, graph.coords, corners)
+    lam, psi = _symmetric_eigh(
+        gen.matrix, mu, graph.lattice, graph.lattice_denom, corners
+    )
     scale = max(abs(float(lam[0])), abs(float(lam[-1])), 1.0)
     if abs(lam[0]) > 1e-8 * scale:
         raise KernelError(
@@ -523,7 +536,8 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
     lam, psi = _symmetric_eigh(
         gen.matrix[keep][:, keep],
         graph.measure[keep],
-        graph.coords[keep],
+        graph.lattice[keep],
+        graph.lattice_denom,
         [graph.points[c] for c in corners],
         keep=keep,
     )
@@ -632,34 +646,6 @@ def estimate_walk_dimension(
     return WalkDimensionEstimate(
         exit_times=tuple(times), ratios=ratios, estimate=est, L=float(system.L)
     )
-
-
-def absorbing_exit_time_embedded(
-    graph: VertexGraph, start: int, absorbing: list[int]
-) -> float:
-    """Independent route: expected steps of the embedded jump chain weighted
-    by mean holding times (fundamental-matrix form)."""
-    n = graph.n_vertices
-    absorbing_set = set(absorbing)
-    free = [i for i in range(n) if i not in absorbing_set]
-    pos = {v: k for k, v in enumerate(free)}
-    m = len(free)
-    p = np.zeros((m, m))
-    hold = np.zeros(m)
-    for k, v in enumerate(free):
-        deg = len(graph.adjacency[v])
-        hold[k] = 1.0 / deg
-        for w in graph.adjacency[v]:
-            if w in pos:
-                p[k, pos[w]] = 1.0 / deg
-    visits = np.linalg.solve(np.eye(m) - p.T, _unit(m, pos[start]))
-    return float(visits @ hold)
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 # ---------------------------------------------------------------------------

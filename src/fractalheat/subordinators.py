@@ -36,11 +36,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# not called here: perfbench/layertrace.py patches this name to count calls,
-# and a traced operation raises when the name is missing
-from scipy.integrate import quad  # noqa: F401
 from scipy.special import gamma as _gamma
 from scipy.special import gammaln as _gammaln
+
+
+def __getattr__(name: str):
+    """``quad``, imported on first access (PEP 562).  Nothing here calls
+    it, but the benchmark's tracer (``perfbench/layertrace.py``) reads and
+    patches the name to count calls; importing ``scipy.integrate`` at module
+    load would cost every run about 0.35 s.  Remove this once the tracer no
+    longer patches ``quad``."""
+    if name == "quad":
+        from scipy.integrate import quad
+
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _EXP_UNDERFLOW = 745.0
 

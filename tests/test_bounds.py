@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fractalheat import bounds
 from fractalheat.bounds import (
     CLAMP,
     SUB_UNIT_END,
@@ -351,3 +352,45 @@ class TestSandwich:
     def test_various_parameters(self, gasket, c1, c2, c3, M):
         report = sandwich_check_f(gasket, c1, c2, c3, M=M)
         assert report.passed
+
+
+def _decay_data(seed, c, n=400):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 5.0, n)
+    return c * x + rng.normal(0.0, 0.3, n), x
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("c", [-1.0, 0.0, 0.01, 1.7, 42.0, 99.99, 250.0])
+def test_minimax_constant_matches_scipy_bounded_minimizer(seed, c):
+    # the same bits as scipy's bounded Brent minimizer on the same width
+    from scipy.optimize import minimize_scalar
+
+    y, x = _decay_data(seed, c)
+
+    def width(k):
+        resid = y - k * x
+        return float(resid.max() - resid.min())
+
+    ref = minimize_scalar(width, bounds=(0.0, 100.0), method="bounded",
+                          options={"xatol": 1e-6})
+    got = bounds._minimax_decay_constant(y, x)
+    assert type(got) is float and got == float(ref.x)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda k: (k - 3.7) ** 2, 0.0, 10.0),
+    (lambda k: abs(k - 0.25), -1.0, 1.0),
+    (lambda k: math.cos(k), 0.0, 20.0),
+    (lambda k: -k, 0.0, 1.0),
+    (lambda k: 1.0, 2.0, 3.0),
+])
+@pytest.mark.parametrize("xatol", [1e-6, 1e-3])
+def test_bounded_minimum_matches_scipy(f, lo, hi, xatol):
+    from scipy.optimize import minimize_scalar
+
+    ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert bounds._bounded_minimum(f, lo, hi, xatol) == float(ref.x)
+    capped = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                             options={"xatol": xatol, "maxiter": 5})
+    assert bounds._bounded_minimum(f, lo, hi, xatol, maxfun=5) == float(capped.x)

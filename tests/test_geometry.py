@@ -15,6 +15,7 @@ from fractalheat import (
     validate_snf,
 )
 from fractalheat.exact import Q3, Vec2
+from fractalheat.geometry import point_positions
 
 
 def test_gasket_fixed_points(gasket):
@@ -249,3 +250,21 @@ def test_lattice_rejects_coordinates_past_float_range(gasket):
 def test_lattice_rejects_cells_above_ambient_level(gasket, M, depth):
     with pytest.raises(FractalError, match="exceeds ambient level"):
         build_vertex_graph(gasket, M, depth)
+
+
+@pytest.mark.parametrize("name", ["gasket", "interval"])
+@pytest.mark.parametrize("M", range(3))
+@pytest.mark.parametrize("depth", range(6))
+def test_point_positions_match_index_of(request, name, M, depth):
+    # the folded graph's points in its window graph, as ReflectionStudy reads them
+    system = request.getfixturevalue(name)
+    folded = build_vertex_graph(system, M, depth)
+    window = build_vertex_graph(system, M + 1, depth)
+    expected = np.array([window.index_of(p) for p in folded.points])
+    got = point_positions(window, folded)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+    # and no window point outside K<<M>> is found in the folded graph
+    inside = np.isin(np.arange(window.n_vertices), expected)
+    back = point_positions(folded, window)
+    assert np.array_equal(back[expected], np.arange(folded.n_vertices))
+    assert (back[~inside] == -1).all()

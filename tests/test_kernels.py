@@ -16,8 +16,29 @@ from fractalheat import (
     kernels,
     spectral_decompose,
 )
-from fractalheat.kernels import absorbing_exit_time, absorbing_exit_time_embedded
+from fractalheat.kernels import absorbing_exit_time
 from fractalheat.subordinators import SubordinatorSpec
+
+
+def absorbing_exit_time_embedded(graph, start: int, absorbing: list[int]) -> float:
+    """Independent route: expected visits of the embedded jump chain, from
+    the fundamental matrix, weighted by mean holding times; the chain is
+    read off the edge list."""
+    free = [v for v in range(graph.n_vertices) if v not in set(absorbing)]
+    pos = {v: k for k, v in enumerate(free)}
+    deg = np.zeros(graph.n_vertices)
+    for u, v in graph.edges:
+        deg[u] += 1
+        deg[v] += 1
+    m = len(free)
+    p = np.zeros((m, m))
+    for u, v in graph.edges:
+        if u in pos and v in pos:
+            p[pos[u], pos[v]] = 1.0 / deg[u]
+            p[pos[v], pos[u]] = 1.0 / deg[v]
+    hold = 1.0 / deg[free]
+    visits = np.linalg.solve(np.eye(m) - p.T, np.eye(m)[pos[start]])
+    return float(visits @ hold)
 
 
 class TestGenerator:
@@ -245,8 +266,8 @@ class TestTruncatedFreeKernel:
     def test_killed_kernel_rejects_zero_rate(self, gasket, cache, monkeypatch):
         eigh = kernels._symmetric_eigh
 
-        def zero_rate(q, mu, coords, corners, **kwargs):
-            lam, psi = eigh(q, mu, coords, corners, **kwargs)
+        def zero_rate(*args, **kwargs):
+            lam, psi = eigh(*args, **kwargs)
             lam[0] = 0.0
             return lam, psi
 

@@ -300,6 +300,24 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "1"
 
+    def test_runs_do_not_import_unused_scipy_subpackages(self, tmp_path):
+        # neither the imports nor a cold report load scipy.integrate or
+        # scipy.spatial (each costs a run 0.1-0.4 s of start-up)
+        script = (
+            "import sys\n"
+            "import fractalheat.cli, fractalheat.pipeline, fractalheat.subordinate\n"
+            "heavy = ('scipy.integrate', 'scipy.spatial')\n"
+            "print(*[m for m in heavy if m in sys.modules])\n"
+            "from fractalheat.config import load_run_config\n"
+            f"cfg = load_run_config({str(_quick_config(tmp_path))!r})\n"
+            "assert fractalheat.pipeline.run_pipeline(cfg).claims_passed\n"
+            "print(*[m for m in heavy if m in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["", ""]
+        assert list((tmp_path / "out").glob("**/eig-*.npz"))  # the run was cold
+
     def test_validate_fractal_ok(self):
         proc = self._run("validate-fractal", "--config", str(CONFIGS / "gasket.ini"))
         assert proc.returncode == 0

@@ -4,6 +4,7 @@ edge, a dense ``np.linalg.eigh`` of the whole symmetrized generator, the
 exact reflections of the vertex points, and spectral decimation."""
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from fractalheat import (
     sierpinski_gasket,
     unit_interval_system,
 )
-from fractalheat.geometry import _bisector_reflection
+from fractalheat.exact import Vec2
+from fractalheat.geometry import _bisector_reflection, mapped_rows
 from fractalheat.kernels import SpectralKernel
 
 SYSTEMS = {"gasket": sierpinski_gasket, "interval": unit_interval_system}
@@ -161,7 +163,9 @@ def test_broken_symmetry_gives_one_dense_block(monkeypatch):
     corners = [graph.points[c] for c in graph.corner_indices()]
     eigh, sizes = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-    lam, psi = kernels._symmetric_eigh(csr_array(q), graph.measure, graph.coords, corners)
+    lam, psi = kernels._symmetric_eigh(
+        csr_array(q), graph.measure, graph.lattice, graph.lattice_denom, corners
+    )
     assert sizes == [graph.n_vertices]
     s = np.sqrt(graph.measure)
     sym = q * np.outer(s, 1.0 / s)
@@ -218,3 +222,74 @@ def test_spectral_decimation(gasket, cache, M, depth):
     expected = np.sort(np.concatenate([[0.0], inner, inner]))
     assert images.shape == expected.shape
     assert np.abs(images - expected).max() <= 1e-12
+
+
+def _kdtree_permutations(graph, rows):
+    """The permutations as the float route matched them: each reflection's
+    image of the float points ``coords[rows]``, looked up in a k-d tree of
+    those points within 1e-9; None when a point has no match."""
+    from scipy.spatial import cKDTree
+
+    coords = graph.coords[rows]
+    tree = cKDTree(coords)
+    tol = 1e-9 * max(1.0, float(np.abs(coords).max()))
+    corners = [graph.points[c] for c in graph.corner_indices()]
+    perms = []
+    for a, x in enumerate(corners):
+        for y in corners[a + 1 :]:
+            refl = _bisector_reflection(x, y)
+            shift = np.array(refl(Vec2.ZERO).to_floats())
+            lin = np.array([refl(e).to_floats() for e in (Vec2.of(1, 0), Vec2.of(0, 1))]).T
+            dist, perm = tree.query(coords @ (lin - shift[:, None]).T + shift,
+                                    distance_upper_bound=tol)
+            perms.append(perm if np.isfinite(dist).all() else None)
+    return perms
+
+
+def _lattice_permutations(graph, rows):
+    lattice = graph.lattice[rows]
+    corners = [graph.points[c] for c in graph.corner_indices()]
+    perms = []
+    for a, x in enumerate(corners):
+        for y in corners[a + 1 :]:
+            _, matrix, shift = kernels._reflection_map(x, y)
+            perm = mapped_rows(lattice, graph.lattice_denom, matrix, shift)
+            perms.append(None if (perm < 0).any() else perm)
+    return perms
+
+
+@pytest.mark.parametrize("name", ["gasket", "interval"])
+@pytest.mark.parametrize("M", range(3))
+@pytest.mark.parametrize("depth", range(6))
+def test_exact_join_matches_the_float_match(name, M, depth):
+    # every vertex (the reflected kernel) and every non-corner (the killed one)
+    graph = build_vertex_graph(SYSTEMS[name](), M, depth)
+    keep = np.ones(graph.n_vertices, dtype=bool)
+    keep[graph.corner_indices()] = False
+    for rows in (slice(None), keep):
+        if not graph.lattice[rows].size:
+            continue
+        old = _kdtree_permutations(graph, rows)
+        new = _lattice_permutations(graph, rows)
+        assert len(new) == len(old) == (3 if name == "gasket" else 1)
+        for a, b in zip(new, old):
+            assert a is not None and b is not None
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [
+        [Vec2.of(0, 0), Vec2.of(Fraction(1, 3), 0)],  # images off the lattice
+        [Vec2.of(0, 0), Vec2.of(2, 0)],  # on the lattice, outside the graph
+    ],
+)
+def test_reflection_off_the_points_gives_the_trivial_group(corners):
+    graph = build_vertex_graph(sierpinski_gasket(), 0, 3)
+    n = graph.n_vertices
+    diag = np.arange(n) * (n + 1)
+    perms, lins = kernels._symmetry_group(
+        graph.lattice, graph.lattice_denom, corners, diag, np.ones(n), graph.measure
+    )
+    assert np.array_equal(perms, np.arange(n)[None, :])
+    assert np.array_equal(lins, np.eye(2)[None])
