@@ -758,6 +758,8 @@ def relativistic_comparison_reports(
                 take = min(len(pool), max(500, fit_sample // len(times)))
                 sel = pool[rng.choice(len(pool), size=take, replace=False)]
                 fit_draws[name].append((sel, flat[sel]))
+            # free this time's block before the next time's is computed
+            del block, flat, grouped
         for name, kind, keep in regimes:
             form = fitted_form = form_for(system, kind, alpha=alpha, M=study.M)
             extras: dict = {"metric": metric}

@@ -827,7 +827,8 @@ def lattice_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
         key_table = key_table * len(values) + rank.ravel()
         key_rows = key_rows * len(values) + at
     order = np.argsort(key_table)
-    at = order[np.minimum(np.searchsorted(key_table, key_rows, sorter=order), len(order) - 1)]
+    at = np.searchsorted(key_table, key_rows, sorter=order)
+    at = order[np.minimum(at, len(order) - 1)]
     found &= key_table[at] == key_rows
     return np.where(found, at, -1)
 

@@ -313,7 +313,9 @@ class TestCli:
             "assert fractalheat.pipeline.run_pipeline(cfg).claims_passed\n"
             "print(*[m for m in heavy if m in sys.modules])\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["", ""]
         assert list((tmp_path / "out").glob("**/eig-*.npz"))  # the run was cold
