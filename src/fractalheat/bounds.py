@@ -719,11 +719,12 @@ def relativistic_comparison_reports(
     )
 
     dist = study.metric(metric)
-    levels, level_of = np.unique(dist, return_inverse=True)
-    level_of = level_of.ravel()
-    # the block entries grouped by distance level, each level one run
-    by_level = np.argsort(level_of)
-    starts = np.searchsorted(level_of[by_level], np.arange(len(levels)))
+    # the pairs in order of distance, so each distance level is one run
+    by_level = np.argsort(dist, axis=None)
+    ordered = dist.ravel()[by_level]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    levels, counts = ordered[starts], np.diff(np.r_[starts, dist.size])
+    del ordered
     rng = np.random.default_rng(seed)
 
     def add_regime_reports(times, regimes) -> None:
@@ -738,7 +739,8 @@ def relativistic_comparison_reports(
             if keep is None:
                 plot_pairs[name], pool = pairs, np.arange(dist.size)
             else:
-                in_regime = keep[level_of]
+                in_regime = np.empty(dist.size, dtype=bool)
+                in_regime[by_level] = np.repeat(keep, counts)
                 plot_pairs[name] = _masked_plot_pairs(
                     in_regime.reshape(dist.shape), len(pairs), seed
                 )
