@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FractalSystem, point_positions
+from .geometry import FractalSystem
 from .kernels import KernelCache, KernelError, SpectralKernel, default_cache
 from .subordinators import SubordinatorSpec
 
@@ -424,7 +424,7 @@ class ReflectionStudy:
             raise BoundError("window level must exceed M")
         folded = cache.kernel(system, M, depth)
         window_kernel = cache.kernel(system, window, depth)
-        sub = point_positions(window_kernel.graph, folded.graph)
+        sub = window_kernel.graph.positions(folded.graph.lattice, folded.graph.lattice_denom)
         if (sub < 0).any():
             raise BoundError("a folded-graph point is not a window-graph point")
         return cls(

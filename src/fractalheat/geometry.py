@@ -1,8 +1,11 @@
 """Nested-fractal geometry: similitude systems, axiom checks, vertex graphs.
 
 All constructions are exact: coordinates live in Q(sqrt 3)^2 (see
-:mod:`fractalheat.exact`), cells carry exact offsets, and the vertex measure
-is kept as rationals so graph totals come out exactly ``N**M``.
+:mod:`fractalheat.exact`).  A vertex graph holds its points as int64 rows
+over one common denominator (its integer lattice), every point lookup is
+one exact join of such rows, and the vertex measure is an integer count of
+incident cells over ``K N**depth``, so graph totals come out exactly
+``N**M``.
 
 Conventions
 -----------
@@ -16,7 +19,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,6 +91,11 @@ class FractalSystem:
     @property
     def has_identity_isometries(self) -> bool:
         return all(m.isometry.is_identity() for m in self.maps)
+
+    def corners(self, M: int) -> tuple[Vec2, ...]:
+        """The essential vertices of ``K<<M>> = L^M K<<0>>``, exactly."""
+        scale = self.L**M
+        return tuple(v.scaled(scale) for v in self.essential_vertices)
 
     def fingerprint(self) -> str:
         """Canonical content string, used for cache keys."""
@@ -242,11 +249,6 @@ def enumerate_cells(system: FractalSystem, M: int, level: int) -> list[CellAddre
         shifts = [m.translation.scaled(system.L**j) for m in system.maps]
         words = [(w + (a,), off + s) for w, off in words for a, s in enumerate(shifts)]
     return [CellAddress(level, w, off) for w, off in words]
-
-
-def cell_corners(system: FractalSystem, cell: CellAddress) -> list[Vec2]:
-    scale = system.L**cell.level
-    return [v.scaled(scale) + cell.offset for v in system.essential_vertices]
 
 
 def vertices_at_depth(system: FractalSystem, depth: int) -> set[Vec2]:
@@ -573,40 +575,38 @@ def _bisector_reflection(x: Vec2, y: Vec2):
 # Vertex graphs
 
 
-@dataclass(frozen=True)
-class GraphCell:
-    address: CellAddress
-    corner_indices: tuple[int, ...]
-
-
 @dataclass
 class VertexGraph:
     """Level-``depth`` graph approximation of ``K<<M>>`` with vertex measure.
 
-    Vertices are exact points; ``measure_exact`` sums to exactly ``N**M``.
+    Vertex k is the exact point ``lattice[k] / lattice_denom``: its int64 row
+    ``(x.a, x.b, y.a, y.b) * S`` of coordinates ``a + b sqrt3`` over one
+    common denominator S; ``coords`` holds the same points in floats.
+    ``cells`` (word order) holds the vertices at each cell's corners, and
+    ``incident[k]`` counts the cells at vertex k, so the measure
+    ``incident / (K N**depth)`` sums to exactly ``N**M``.
     """
 
     system: FractalSystem
     M: int
     depth: int
-    points: tuple[Vec2, ...]
-    edges: tuple[tuple[int, int], ...]
-    cells: tuple[GraphCell, ...]
-    incident: tuple[int, ...]
-    measure_exact: tuple[Fraction, ...]
-    point_index: dict[Vec2, int] = field(repr=False)
-    coords: np.ndarray = field(repr=False, compare=False)  # float points, n x 2
-    # the exact points as int64 rows (x.a, x.b, y.a, y.b) * lattice_denom
-    lattice: np.ndarray = field(repr=False, compare=False)
+    lattice: np.ndarray = field(repr=False, compare=False)  # n x 4 int64
     lattice_denom: int = field(repr=False, compare=False)
+    coords: np.ndarray = field(repr=False, compare=False)  # float points, n x 2
+    edges: tuple[tuple[int, int], ...]
+    cells: np.ndarray = field(repr=False, compare=False)  # n_cells x K int64
+    incident: tuple[int, ...]
 
     def __post_init__(self):
-        self.measure = np.array([float(m) for m in self.measure_exact])
+        # each cell spreads mass N**-depth over its K corners; both integers
+        # are below 2^53, so the quotient is the rounded exact measure
+        self._mass_denom = self.system.n_essential * self.system.n_maps**self.depth
+        self.measure = np.asarray(self.incident) / self._mass_denom
         self._adjacency: list[list[int]] | None = None
 
     @property
     def n_vertices(self) -> int:
-        return len(self.points)
+        return len(self.lattice)
 
     @property
     def n_edges(self) -> int:
@@ -615,7 +615,7 @@ class VertexGraph:
     @property
     def adjacency(self) -> list[list[int]]:
         if self._adjacency is None:
-            adj: list[list[int]] = [[] for _ in self.points]
+            adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
             for u, v in self.edges:
                 adj[u].append(v)
                 adj[v].append(u)
@@ -627,17 +627,20 @@ class VertexGraph:
         return np.array([len(nb) for nb in self.adjacency])
 
     def total_mass_exact(self) -> Fraction:
-        return sum(self.measure_exact, Fraction(0))
+        return Fraction(sum(self.incident), self._mass_denom)
 
-    def index_of(self, point: Vec2) -> int:
-        return self.point_index[point]
+    def positions(self, rows: np.ndarray, denom) -> np.ndarray:
+        """Vertex of each point ``rows / denom`` (int64 rows as ``lattice``,
+        ``denom`` a positive rational), -1 where a point is no vertex."""
+        return lattice_rows(self.lattice, self.lattice_denom, rows, denom)
 
     def corner_indices(self) -> list[int]:
         """Indices of the global corners of ``K<<M>>``."""
-        scale = self.system.L**self.M
-        return [
-            self.point_index[v.scaled(scale)] for v in self.system.essential_vertices
-        ]
+        denom, (rows,) = _common_lattice([self.system.corners(self.M)])
+        found = self.positions(rows, denom)
+        if (found < 0).any():
+            raise FractalError("a corner of K<<M>> is not a vertex of the graph")
+        return found.tolist()
 
     def is_connected(self) -> bool:
         if self.n_vertices == 0:
@@ -672,9 +675,8 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
     sqrt3`` is held as the integers ``(a S, b S)`` over one common
     denominator S of the scaled translations and base corners, so cell
     offsets and corners are int64 sums and the points are deduplicated as
-    integer rows, kept as ``lattice`` with ``lattice_denom`` S.  Each exact
-    point and cell offset is formed once, and ``coords`` comes from the
-    integers as ``A/S + (B/S) * sqrt3``, the same bits as
+    integer rows, kept as ``lattice`` with ``lattice_denom`` S.  ``coords``
+    comes from the integers as ``A/S + (B/S) * sqrt3``, the same bits as
     :meth:`Vec2.to_floats`.
     """
     if depth < 0:
@@ -690,60 +692,36 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
         [m.translation.scaled(system.L**j) for m in system.maps]
         for j in range(M, -depth, -1)
     ]
-    base = [v.scaled(system.L ** (-depth)) for v in system.essential_vertices]
-    denom, (*letters, base_int) = _common_lattice(shifts + [base])
+    denom, (*letters, base) = _common_lattice(shifts + [system.corners(-depth)])
     offsets = np.zeros((1, 4), dtype=np.int64)
     for shift in letters:  # word order: the first letter varies slowest
         offsets = (offsets[:, None, :] + shift[None, :, :]).reshape(-1, 4)
-    corners = (offsets[:, None, :] + base_int[None, :, :]).reshape(-1, 4)
+    corners = (offsets[:, None, :] + base[None, :, :]).reshape(-1, 4)
     rows, first, inverse = np.unique(
         corners, axis=0, return_index=True, return_inverse=True
     )
     order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.intp)
+    rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    idx = rank[inverse.ravel()].reshape(len(offsets), len(base))
+    cells = rank[inverse.ravel()].reshape(len(offsets), len(base))
     lattice = rows[order]
     n = len(lattice)
 
-    incident = np.bincount(idx.ravel(), minlength=n)
     a, b = np.triu_indices(len(base), 1)
-    u, v = idx[:, a].ravel(), idx[:, b].ravel()
+    u, v = cells[:, a].ravel(), cells[:, b].ravel()
     keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
-
-    fractions = {
-        k: Fraction(k, denom)
-        for k in np.unique(np.r_[offsets.ravel(), lattice.ravel()]).tolist()
-    }
-
-    def exact(r) -> Vec2:
-        return Vec2(
-            Q3(fractions[r[0]], fractions[r[1]]), Q3(fractions[r[2]], fractions[r[3]])
-        )
-
-    points = tuple(exact(r) for r in lattice.tolist())
-    words = itertools.product(range(system.n_maps), repeat=M + depth)
-    cells = tuple(
-        GraphCell(CellAddress(-depth, word, exact(r)), tuple(i))
-        for word, r, i in zip(words, offsets.tolist(), idx.tolist())
-    )
-    cell_mass = Fraction(system.n_maps) ** (-depth)
-    masses = {c: Fraction(c) * cell_mass / system.n_essential for c in set(incident.tolist())}
     # columns (x.a, y.a) and (x.b, y.b): the rational and the sqrt3 parts
     coords = lattice[:, 0::2] / denom + (lattice[:, 1::2] / denom) * _SQRT3
     return VertexGraph(
         system=system,
         M=M,
         depth=depth,
-        points=points,
-        edges=tuple(zip((keys // n).tolist(), (keys % n).tolist())),
-        cells=cells,
-        incident=tuple(incident.tolist()),
-        measure_exact=tuple(masses[c] for c in incident.tolist()),
-        point_index={p: k for k, p in enumerate(points)},
-        coords=coords,
         lattice=lattice,
         lattice_denom=denom,
+        coords=coords,
+        edges=tuple(zip((keys // n).tolist(), (keys % n).tolist())),
+        cells=cells,
+        incident=tuple(np.bincount(cells.ravel(), minlength=n).tolist()),
     )
 
 
@@ -780,39 +758,51 @@ _RATIONAL_BASIS = (
 
 
 def rational_affine(f) -> tuple[tuple, tuple]:
-    """A map ``f`` of Q(sqrt3)^2 that is Q-affine in the lattice columns (a
-    bisector reflection is) as its rational 4x4 matrix and shift."""
+    """A map ``f`` of Q(sqrt3)^2 that is Q-affine in the lattice columns (as
+    every affine map with Q(sqrt3) entries is: a bisector reflection, a
+    corner rotation) as its rational 4x4 matrix and shift."""
     origin = f(Vec2.ZERO)
     columns = [_rational_parts(f(e) - origin) for e in _RATIONAL_BASIS]
     return tuple(zip(*columns)), _rational_parts(origin)
 
 
-def mapped_rows(lattice: np.ndarray, denom: int, matrix, shift) -> np.ndarray:
-    """Row of ``lattice`` (distinct rows ``denom * p``) holding the image of
-    each row under the affine map with rational ``matrix`` and ``shift``;
-    -1 where the image is not a lattice point or not a row.  Exact int64
-    arithmetic; raises :class:`FractalError` when it could overflow."""
-    entries = [f for row in matrix for f in row] + [f * denom for f in shift]
-    d = math.lcm(*(f.denominator for f in entries))
-    a = [[int(f * d) for f in row] for row in matrix]
-    b = [int(f * denom * d) for f in shift]
-    reach = int(np.abs(lattice).max())
-    if max(sum(map(abs, row)) * reach + abs(c) for row, c in zip(a, b)) >= 2**63:
-        raise FractalError("lattice too fine for exact int64 images")
-    image = lattice @ np.array(a, dtype=np.int64).T + np.array(b, dtype=np.int64)
-    rows = lattice_rows(lattice, image // d)
-    rows[(image % d).any(axis=1)] = -1
-    return rows
+def affine_images(pieces, denom: int) -> tuple[np.ndarray, int]:
+    """The images of the lattice ``rows`` (int64, over ``denom``) under the
+    rational affine map ``matrix``, ``shift`` (see :func:`rational_affine`)
+    of each of ``pieces``, stacked as int64 rows over one common denominator
+    ``d * denom``, returned with them: ``r / S`` maps to ``(dA r + dS b) /
+    (dS)``.  Raises :class:`FractalError` when an image could overflow."""
+    d = math.lcm(
+        *(f.denominator for _, matrix, _ in pieces for row in matrix for f in row),
+        *((f * denom).denominator for _, _, shift in pieces for f in shift),
+    )
+    images = []
+    for rows, matrix, shift in pieces:
+        a = [[int(f * d) for f in row] for row in matrix]
+        b = [int(f * denom * d) for f in shift]
+        reach = int(np.abs(rows).max(initial=0))
+        if max(sum(map(abs, row)) * reach + abs(c) for row, c in zip(a, b)) >= 2**63:
+            raise FractalError("lattice too fine for exact int64 images")
+        images.append(rows @ np.array(a, dtype=np.int64).T + np.array(b, dtype=np.int64))
+    return np.concatenate(images), d * denom
 
 
-def lattice_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Position in ``table`` (distinct int64 rows) of each of ``rows``, -1
-    where a row is not in the table.
+def lattice_rows(table: np.ndarray, table_denom, rows: np.ndarray, rows_denom) -> np.ndarray:
+    """Position in ``table`` of each of ``rows``, -1 where a row is none of
+    the table's.  Each side is a set of lattice points: int64 rows over a
+    positive rational denominator (as ``VertexGraph.lattice`` over
+    ``lattice_denom``), distinct in ``table``.
 
-    One exact sorted join: each column's values are ranked among the
-    table's, the ranks are packed into one int64 key per row, and the keys
-    of ``rows`` are looked up in the sorted keys of ``table``.  Raises
-    :class:`FractalError` when the packed keys could overflow int64."""
+    One exact sorted join: both sides are brought to one common integer
+    denominator, each column's values are ranked among the table's, the
+    ranks are packed into one int64 key per row, and the keys of ``rows``
+    are looked up in the sorted keys of ``table``.  Raises
+    :class:`FractalError` when the common denominator or the packed keys
+    could overflow int64."""
+    t, r = Fraction(table_denom), Fraction(rows_denom)
+    common = math.lcm(t.numerator, r.numerator)
+    table = _rescaled(table, t.denominator * (common // t.numerator))
+    rows = _rescaled(rows, r.denominator * (common // r.numerator))
     found = np.ones(len(rows), dtype=bool)
     key_table = np.zeros(len(table), dtype=np.int64)
     key_rows = np.zeros(len(rows), dtype=np.int64)
@@ -833,19 +823,8 @@ def lattice_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(found, at, -1)
 
 
-def point_positions(graph: VertexGraph, sub: VertexGraph) -> np.ndarray:
-    """Position in ``graph`` of each point of the graph ``sub``, -1 where one
-    is not a point of ``graph``: both lattices are brought to one common
-    denominator and joined exactly by :func:`lattice_rows`."""
-    denom = math.lcm(graph.lattice_denom, sub.lattice_denom)
-    table, rows = (
-        _rescaled(g.lattice, denom // g.lattice_denom) for g in (graph, sub)
-    )
-    return lattice_rows(table, rows)
-
-
 def _rescaled(lattice: np.ndarray, factor: int) -> np.ndarray:
-    if int(np.abs(lattice).max()) * factor >= 2**63:
+    if int(np.abs(lattice).max(initial=0)) * factor >= 2**63:
         raise FractalError("lattices too fine for a common int64 denominator")
     return lattice * factor
 

@@ -47,8 +47,9 @@ from .geometry import (
     FractalSystem,
     VertexGraph,
     _bisector_reflection,
+    affine_images,
     build_vertex_graph,
-    mapped_rows,
+    lattice_rows,
     rational_affine,
 )
 from .labeling import LabelMap
@@ -286,6 +287,19 @@ def _reflection_map(x: Vec2, y: Vec2):
     return lin, *rational_affine(refl)
 
 
+def _reflection_rows(lattice, denom, corners):
+    """The bisector reflections of pairs of ``corners``: their float linear
+    parts and, one row per reflection, the row of ``lattice`` (int64 rows
+    over ``denom``) holding the image of each row, -1 where an image is no
+    row.  Every image is found by one exact join."""
+    maps = [_reflection_map(x, y) for a, x in enumerate(corners) for y in corners[a + 1 :]]
+    images, image_denom = affine_images(
+        [(lattice, matrix, shift) for _, matrix, shift in maps], denom
+    )
+    rows = lattice_rows(lattice, denom, images, image_denom)
+    return [lin for lin, _, _ in maps], rows.reshape(len(maps), len(lattice))
+
+
 def _symmetry_group(lattice, denom, corners, key, vals, mu):
     """Vertex permutations ``perms`` (|G| x n, the identity first) and linear
     parts ``lins`` (|G| x 2 x 2) of the group generated by the bisector
@@ -295,15 +309,10 @@ def _symmetry_group(lattice, denom, corners, key, vals, mu):
     ``perms[g][x]`` is the row of the image of row ``x``, so ``perms[gh] =
     perms[g][perms[h]]``."""
     n = len(lattice)
-    trivial = np.arange(n)[None, :], np.eye(2)[None]
-    gens = []
-    for a, x in enumerate(corners):
-        for y in corners[a + 1 :]:
-            lin, matrix, shift = _reflection_map(x, y)
-            perm = mapped_rows(lattice, denom, matrix, shift)
-            if (perm < 0).any() or not _is_symmetry(perm, key, vals, mu):
-                return trivial
-            gens.append((perm, lin))
+    lins, perms = _reflection_rows(lattice, denom, corners)
+    if (perms < 0).any() or not all(_is_symmetry(p, key, vals, mu) for p in perms):
+        return np.arange(n)[None, :], np.eye(2)[None]
+    gens = list(zip(perms, lins))
     perms, lins = [np.arange(n)], [np.eye(2)]
     seen = {perms[0].tobytes()}
     k = 0
@@ -391,9 +400,8 @@ def spectral_decompose(gen: Generator) -> SpectralKernel:
     """Full symmetric eigendecomposition of a conservative generator."""
     graph = gen.graph
     mu = graph.measure
-    corners = [graph.points[c] for c in graph.corner_indices()]
     lam, psi = _symmetric_eigh(
-        gen.matrix, mu, graph.lattice, graph.lattice_denom, corners
+        gen.matrix, mu, graph.lattice, graph.lattice_denom, graph.system.corners(graph.M)
     )
     scale = max(abs(float(lam[0])), abs(float(lam[-1])), 1.0)
     if abs(lam[0]) > 1e-8 * scale:
@@ -530,15 +538,14 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
     every vertex of ``graph``: the eigenvectors vanish at the corners, so
     the kernel is 0 wherever a corner is one of the pair."""
     gen = build_generator(graph)
-    corners = graph.corner_indices()
     keep = np.ones(graph.n_vertices, dtype=bool)
-    keep[corners] = False
+    keep[graph.corner_indices()] = False
     lam, psi = _symmetric_eigh(
         gen.matrix[keep][:, keep],
         graph.measure[keep],
         graph.lattice[keep],
         graph.lattice_denom,
-        [graph.points[c] for c in corners],
+        graph.system.corners(graph.M),
         keep=keep,
     )
     # killing at the corners makes every rate strictly positive
@@ -571,18 +578,24 @@ def folding_crosscheck(
     """
     folded_graph = folded_kernel.graph
     window_graph = window_kernel.graph
+    x_windows = window_graph.positions(
+        folded_graph.lattice[[x for x, _ in pairs]], folded_graph.lattice_denom
+    )
+    if (x_windows < 0).any():
+        raise KernelError("a folded-graph point is not a window-graph point")
     mapping = label_map.fold_graph_vertices(window_graph, folded_graph)
     corner_set = set(folded_graph.corner_indices())
     classes: dict[int, list[int]] = {}
     for w_idx, f_idx in enumerate(mapping):
         classes.setdefault(int(f_idx), []).append(w_idx)
+    if len(classes) != folded_graph.n_vertices:
+        raise KernelError("the window does not fold onto every folded-graph vertex")
     worst = 0.0
-    for x_idx, y_idx in pairs:
+    for (x_idx, y_idx), x_window in zip(pairs, x_windows.tolist()):
         if y_idx in corner_set:
             raise KernelError(
                 "folding cross-check targets must avoid the corners of K<<M>>"
             )
-        x_window = window_graph.index_of(folded_graph.points[x_idx])
         total = 0.0
         for y_window in sorted(classes[y_idx]):
             total += window_kernel.value(t, x_window, y_window, exponent)
@@ -677,13 +690,12 @@ def check_scaling_property(
     scale_t = lf**system.walk_dim
     scale_g = lf**system.hausdorff_dim
     coarse_graph = coarse.graph
-    fine_graph = fine.graph
-    mapped = np.array(
-        [
-            fine_graph.index_of(p.scaled(system.L))
-            for p in coarse_graph.points
-        ]
+    # L x is the coarse lattice row over the denominator S / L
+    mapped = fine.graph.positions(
+        coarse_graph.lattice, coarse_graph.lattice_denom / system.L
     )
+    if (mapped < 0).any():
+        raise KernelError("a scaled coarse-graph point is not a fine-graph point")
     rng = np.random.default_rng(seed)
     n = coarse_graph.n_vertices
     n_pairs = min(max_pairs, n * n)

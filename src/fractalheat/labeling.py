@@ -17,8 +17,9 @@ from .exact import LinearMap2, Q3, Vec2, barycenter
 from .geometry import (
     FractalSystem,
     VertexGraph,
-    cell_corners,
+    affine_images,
     enumerate_cells,
+    rational_affine,
     _point_in_hull,
     _hull,
 )
@@ -66,8 +67,7 @@ class RotationGroup:
 def rotation_group(system: FractalSystem, M: int) -> RotationGroup:
     """Find all rotations about the barycenter of ``K<<M>>`` mapping its
     corner set onto itself; there must be exactly K of them."""
-    scale = system.L**M
-    corners = [v.scaled(scale) for v in system.essential_vertices]
+    corners = system.corners(M)
     center = barycenter(corners)
     corner_set = set(corners)
     base = corners[0] - center
@@ -159,10 +159,6 @@ class LabelMap:
     def _fold(self, c: ComplexInfo, x: Vec2) -> Vec2:
         return c.rotation.apply(x - c.offset)
 
-    def project_cell_word(self, word_prefix: tuple[int, ...], x: Vec2) -> Vec2:
-        """Fold using the complex identified by a coarse word prefix."""
-        return self._fold(self._by_word[word_prefix], x)
-
     def preimages_and_rank(
         self, y: Vec2
     ) -> tuple[list[Vec2], dict[Vec2, int] | None]:
@@ -192,30 +188,33 @@ class LabelMap:
     ) -> np.ndarray:
         """Map every window-graph vertex to its folded-graph index.
 
-        Uses each vertex's incident cells (their coarse word prefixes name the
-        containing complexes) and checks that all incident complexes agree,
-        which is the well-definedness of the folding on shared vertices.
+        Cells and complexes both come in word order, so each complex owns
+        one block of cells.  Its fold maps the lattice rows of their corners
+        exactly, and one join finds every image in the folded graph.  A
+        vertex shared by complexes must get one image from all of them: the
+        folding is well defined on shared vertices.
         """
         if graph.M != self.window:
             raise LabelingError(
                 f"graph lives on level {graph.M}, labeling window is {self.window}"
             )
-        prefix_len = self.window - self.M
-        owner: list[set[tuple[int, ...]]] = [set() for _ in graph.points]
-        for cell in graph.cells:
-            prefix = cell.address.word[:prefix_len]
-            for idx in cell.corner_indices:
-                owner[idx].add(prefix)
+        blocks = graph.cells.reshape(len(self.complexes), -1)
+        vertices = [np.unique(block) for block in blocks]
+        images, denom = affine_images(
+            [
+                (graph.lattice[v], *rational_affine(lambda x, c=c: self._fold(c, x)))
+                for v, c in zip(vertices, self.complexes)
+            ],
+            graph.lattice_denom,
+        )
+        found = folded.positions(images, denom)
+        if (found < 0).any():
+            raise LabelingError("a folded window vertex is not a folded-graph vertex")
+        vertices = np.concatenate(vertices)
         mapping = np.empty(graph.n_vertices, dtype=np.int64)
-        for idx, prefixes in enumerate(owner):
-            images = {
-                self.project_cell_word(pref, graph.points[idx]) for pref in prefixes
-            }
-            if len(images) != 1:
-                raise LabelingError(
-                    f"folding disagrees on vertex {graph.points[idx]}: {images}"
-                )
-            mapping[idx] = folded.index_of(next(iter(images)))
+        mapping[vertices] = found
+        if not np.array_equal(mapping[vertices], found):
+            raise LabelingError("complexes sharing a vertex fold it apart")
         return mapping
 
     # -- serialization ----------------------------------------------------
@@ -247,15 +246,13 @@ def build_good_labeling(
     if window <= M:
         raise LabelingError(f"window level {window} must exceed M = {M}")
     group = rotation_group(system, M)
-    cells = enumerate_cells(system, window, M)
+    base_corners = system.corners(M)
     corners_by_word: dict[tuple[int, ...], tuple[Vec2, ...]] = {}
     offset_by_word: dict[tuple[int, ...], Vec2] = {}
-    for cell in cells:
-        corners_by_word[cell.word] = tuple(cell_corners(system, cell))
+    for cell in enumerate_cells(system, window, M):
+        corners_by_word[cell.word] = tuple(v + cell.offset for v in base_corners)
         offset_by_word[cell.word] = cell.offset
     base_word = tuple([0] * (window - M))
-    scale = system.L**M
-    base_corners = [v.scaled(scale) for v in system.essential_vertices]
     base_corner_labels = {c: i for i, c in enumerate(base_corners)}
 
     # adjacency between complexes through shared corners

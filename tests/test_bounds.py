@@ -394,3 +394,30 @@ def test_bounded_minimum_matches_scipy(f, lo, hi, xatol):
     capped = minimize_scalar(f, bounds=(lo, hi), method="bounded",
                              options={"xatol": xatol, "maxiter": 5})
     assert bounds._bounded_minimum(f, lo, hi, xatol, maxfun=5) == float(capped.x)
+
+
+@pytest.mark.parametrize("M", [0, 1])
+def test_plot_samples_lie_in_their_report_regime(gasket, cache, M):
+    # the report passes split time and distance on their own grids;
+    # classify_regime is the one written definition of the regimes.  Regime
+    # 1 needs a crossover above t = 1, so it appears from M = 1 on.
+    study = ReflectionStudy.build(gasket, M=M, depth=3, window=M + 1, cache=cache)
+    alpha = 0.5
+    reports = {
+        "stable": stable_comparison_reports(study, alpha=alpha, n_times=6),
+        "relativistic": relativistic_comparison_reports(study, alpha=alpha, m=1.0, n_times=6),
+    }
+    dist = study.metric("geodesic")
+    expected = {
+        "stable": {"near", "flat"},
+        "relativistic": {"flat", "regime2", "regime3"} | ({"regime1"} if M else set()),
+    }
+    for process, by_name in reports.items():
+        names = {name for name in by_name if name != "domination"}
+        assert names == expected[process]
+        for name in names:
+            rep = by_name[name]
+            assert rep.regime == name and rep.samples
+            for t, i, j, *_ in rep.samples:
+                got = classify_regime(gasket, process, t, dist[i, j], M, alpha)
+                assert got == name, (process, name, t, dist[i, j])

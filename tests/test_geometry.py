@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from fractalheat import (
     validate_snf,
 )
 from fractalheat.exact import Q3, Vec2
-from fractalheat.geometry import point_positions
+
+from conftest import exact_points
 
 
 def test_gasket_fixed_points(gasket):
@@ -166,9 +168,11 @@ class TestVertexGraph:
     def test_deterministic_rebuild(self, gasket):
         a = build_vertex_graph(gasket, 0, 3)
         b = build_vertex_graph(gasket, 0, 3)
-        assert a.points == b.points
+        assert np.array_equal(a.lattice, b.lattice)
+        assert a.lattice_denom == b.lattice_denom
         assert a.edges == b.edges
-        assert a.measure_exact == b.measure_exact
+        assert np.array_equal(a.cells, b.cells)
+        assert a.incident == b.incident
 
     def test_connected(self, gasket, interval):
         assert build_vertex_graph(gasket, 1, 2).is_connected()
@@ -177,8 +181,7 @@ class TestVertexGraph:
     def test_every_edge_in_one_cell(self, gasket):
         g = build_vertex_graph(gasket, 0, 2)
         edge_cells = {}
-        for cell in g.cells:
-            idx = cell.corner_indices
+        for idx in g.cells.tolist():
             for a in range(len(idx)):
                 for b in range(a + 1, len(idx)):
                     e = tuple(sorted((idx[a], idx[b])))
@@ -214,10 +217,10 @@ def _fraction_graph(system, M, depth):
         for a in range(len(idx)):
             for b in range(a + 1, len(idx)):
                 edges.add((min(idx[a], idx[b]), max(idx[a], idx[b])))
-        cells.append((cell, tuple(idx)))
+        cells.append(idx)
     cell_mass = Fraction(system.n_maps) ** (-depth)
     measure = [Fraction(c) * cell_mass / system.n_essential for c in incident]
-    return points, point_index, sorted(edges), cells, incident, measure
+    return points, sorted(edges), cells, incident, measure
 
 
 @pytest.mark.parametrize("name", ["gasket", "interval"])
@@ -226,14 +229,12 @@ def _fraction_graph(system, M, depth):
 def test_lattice_build_matches_fraction_loop(request, name, M, depth):
     system = request.getfixturevalue(name)
     g = build_vertex_graph(system, M, depth)
-    points, point_index, edges, cells, incident, measure = _fraction_graph(system, M, depth)
-    assert g.points == tuple(points)
-    assert g.point_index == point_index
-    assert list(g.point_index.values()) == list(point_index.values())
+    points, edges, cells, incident, measure = _fraction_graph(system, M, depth)
+    assert exact_points(g) == points
     assert g.edges == tuple(edges)
-    assert [(c.address, c.corner_indices) for c in g.cells] == cells
+    assert g.cells.dtype == np.int64 and g.cells.tolist() == cells
     assert g.incident == tuple(incident)
-    assert g.measure_exact == tuple(measure)
+    assert g.total_mass_exact() == sum(measure) == Fraction(system.n_maps) ** M
     coords = np.array([p.to_floats() for p in points])
     assert g.coords.tobytes() == coords.tobytes() and g.coords.shape == coords.shape
     exact_measure = np.array([float(m) for m in measure])
@@ -260,11 +261,20 @@ def test_point_positions_match_index_of(request, name, M, depth):
     system = request.getfixturevalue(name)
     folded = build_vertex_graph(system, M, depth)
     window = build_vertex_graph(system, M + 1, depth)
-    expected = np.array([window.index_of(p) for p in folded.points])
-    got = point_positions(window, folded)
+    index_of = {p: k for k, p in enumerate(exact_points(window))}
+    expected = np.array([index_of[p] for p in exact_points(folded)])
+    got = window.positions(folded.lattice, folded.lattice_denom)
     assert got.dtype == np.int64 and np.array_equal(got, expected)
     # and no window point outside K<<M>> is found in the folded graph
     inside = np.isin(np.arange(window.n_vertices), expected)
-    back = point_positions(folded, window)
+    back = folded.positions(window.lattice, window.lattice_denom)
     assert np.array_equal(back[expected], np.arange(folded.n_vertices))
     assert (back[~inside] == -1).all()
+
+
+def test_corner_off_the_lattice_raises(gasket):
+    # every point moved by (1 + sqrt3) / S: no vertex is a corner any more
+    g = build_vertex_graph(gasket, 1, 2)
+    moved = dataclasses.replace(g, lattice=g.lattice + 1)
+    with pytest.raises(FractalError, match="not a vertex of the graph"):
+        moved.corner_indices()

@@ -19,6 +19,8 @@ from fractalheat import (
 from fractalheat.kernels import absorbing_exit_time
 from fractalheat.subordinators import SubordinatorSpec
 
+from conftest import exact_points
+
 
 def absorbing_exit_time_embedded(graph, start: int, absorbing: list[int]) -> float:
     """Independent route: expected visits of the embedded jump chain, from
@@ -171,7 +173,8 @@ class TestMatrixOracle:
         folded = cache.kernel(gasket, self.M, self.DEPTH)
         window = cache.kernel(gasket, self.WINDOW, self.DEPTH)
         killed = cache.kernel(gasket, self.WINDOW, self.DEPTH, "dirichlet")
-        sub = np.array([window.graph.index_of(p) for p in folded.graph.points])
+        index_of = {p: k for k, p in enumerate(exact_points(window.graph))}
+        sub = np.array([index_of[p] for p in exact_points(folded.graph)])
         return {"folded": (folded, None), "window": (window, sub), "killed": (killed, sub)}
 
     @pytest.mark.parametrize("block", ["folded", "window", "killed"])
@@ -327,11 +330,10 @@ class TestFoldingCrosscheck:
         lm = build_good_labeling(gasket, 0, 2)
         window = cache.kernel(gasket, 2, 4)
         folded = cache.kernel(gasket, 0, 4)
-        graph_w = window.graph
-        graph_f = folded.graph
-        x = graph_f.points[10]
+        x = exact_points(folded.graph)[10]
+        x_window = exact_points(window.graph).index(x)
         t = 0.01
-        direct = window.value(t, graph_w.index_of(x), graph_w.index_of(x))
+        direct = window.value(t, x_window, x_window)
         summed = folded.value(t, 10, 10)
         assert abs(summed - direct) / direct <= 1e-6
 
@@ -342,6 +344,23 @@ class TestFoldingCrosscheck:
         corner = folded.graph.corner_indices()[0]
         with pytest.raises(KernelError):
             folding_crosscheck(window, lm, folded, 1.0, [(1, corner)])
+
+    @pytest.mark.parametrize(
+        "x_in_window, match",
+        [(False, "not a window-graph point"), (True, "does not fold onto every")],
+    )
+    def test_window_coarser_than_folded_raises(self, gasket, cache, x_in_window, match):
+        # a depth-3 window kernel against a depth-4 folded one: the folded
+        # graph has points the window lacks, and vertices nothing folds onto
+        lm = build_good_labeling(gasket, 0, 2)
+        window = cache.kernel(gasket, 2, 3)
+        folded = cache.kernel(gasket, 0, 4)
+        coarse = set(map(exact_points(folded.graph).index, exact_points(cache.graph(gasket, 0, 3))))
+        x = next(i for i in range(folded.graph.n_vertices) if (i in coarse) == x_in_window)
+        pairs = [(x, y) for y in range(folded.graph.n_vertices)
+                 if y not in folded.graph.corner_indices()]
+        with pytest.raises(KernelError, match=match):
+            folding_crosscheck(window, lm, folded, 1.0, pairs)
 
 
 class TestWalkDimension:
@@ -387,6 +406,16 @@ class TestScaling:
     def test_flat_times_nearly_exact(self, gasket, cache):
         dev = check_scaling_property(gasket, 0, 3, times=[20.0], cache=cache)
         assert dev.max_rel_deviation <= 0.02
+
+    def test_fine_graph_missing_scaled_points_raises(self, gasket, cache):
+        # L x of a depth-3 point of K<<0>> is a depth-2 point of K<<1>>, so a
+        # fine kernel three levels coarser than asked lacks some of them
+        class CoarseFineCache:
+            def kernel(self, system, M, depth):
+                return cache.kernel(system, M, depth - 3 if M == 1 else depth)
+
+        with pytest.raises(KernelError, match="not a fine-graph point"):
+            check_scaling_property(gasket, 0, 3, times=[1.0], cache=CoarseFineCache())
 
 
 def _subgaussian_fit(kern, times):

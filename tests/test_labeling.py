@@ -1,7 +1,8 @@
-from collections import defaultdict
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fractalheat import (
@@ -11,6 +12,8 @@ from fractalheat import (
     rotation_group,
 )
 from fractalheat.exact import Vec2
+
+from conftest import exact_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -120,8 +123,9 @@ class TestProjection:
         # every folded vertex is hit
         assert set(mapping.tolist()) == set(range(folded_graph.n_vertices))
         # restricted to the base complex the folding is the identity, exactly
-        for f_idx, point in enumerate(folded_graph.points):
-            assert mapping[window_graph.index_of(point)] == f_idx
+        index_of = {p: k for k, p in enumerate(exact_points(window_graph))}
+        for f_idx, point in enumerate(exact_points(folded_graph)):
+            assert mapping[index_of[point]] == f_idx
 
 
 class TestPreimages:
@@ -151,9 +155,67 @@ class TestPreimages:
             window_graph = cache.graph(gasket, window, depth)
             folded_graph = cache.graph(gasket, 0, depth)
             mapping = lm.fold_graph_vertices(window_graph, folded_graph)
-            acc = defaultdict(Fraction)
+            # both measures are the incident-cell counts over 3 * 3**depth
+            acc = [0] * folded_graph.n_vertices
             for w_idx, f_idx in enumerate(mapping):
-                acc[int(f_idx)] += window_graph.measure_exact[w_idx]
-            factor = Fraction(3) ** window
-            for f_idx in range(folded_graph.n_vertices):
-                assert acc[f_idx] == folded_graph.measure_exact[f_idx] * factor
+                acc[f_idx] += window_graph.incident[w_idx]
+            factor = 3**window
+            assert acc == [c * factor for c in folded_graph.incident]
+
+
+def _vec2_fold(lm, graph, folded):
+    """The folding map as the exact-point route formed it: each vertex
+    folded by every complex whose cells meet it (the cell words named by
+    itertools.product in word order), all images equal, and the image
+    looked up in a dict of the folded graph's exact points."""
+    points = exact_points(graph)
+    index_of = {p: k for k, p in enumerate(exact_points(folded))}
+    by_word = {c.word: c for c in lm.complexes}
+    words = itertools.product(range(lm.system.n_maps), repeat=graph.M + graph.depth)
+    owner = [set() for _ in points]
+    for word, corners in zip(words, graph.cells.tolist()):
+        for idx in corners:
+            owner[idx].add(word[: lm.window - lm.M])
+    mapping = []
+    for idx, prefixes in enumerate(owner):
+        images = {
+            by_word[p].rotation.apply(points[idx] - by_word[p].offset) for p in prefixes
+        }
+        assert len(images) == 1
+        mapping.append(index_of[images.pop()])
+    return np.array(mapping)
+
+
+FOLD_CASES = [
+    (name, M, window, depth)
+    for name in ("gasket", "interval")
+    for M in range(3)
+    for window in (M + 1, M + 2)
+    for depth in range(7 - window)
+]
+
+
+@pytest.mark.parametrize("name, M, window, depth", FOLD_CASES)
+def test_lattice_fold_matches_exact_point_fold(request, name, M, window, depth):
+    system = request.getfixturevalue(name)
+    lm = build_good_labeling(system, M, window)
+    graph = build_vertex_graph(system, window, depth)
+    folded = build_vertex_graph(system, M, depth)
+    mapping = lm.fold_graph_vertices(graph, folded)
+    assert mapping.dtype == np.int64
+    assert np.array_equal(mapping, _vec2_fold(lm, graph, folded))
+
+
+@pytest.mark.parametrize("window_depth, folded_depth", [(3, 4), (4, 3)])
+def test_fold_into_a_graph_of_another_depth_raises(gasket, window_depth, folded_depth):
+    # a coarser window folds onto a subset of the finer folded graph's
+    # vertices, so only the finer window meets points the folded graph lacks
+    lm = build_good_labeling(gasket, 0, 2)
+    graph = build_vertex_graph(gasket, 2, window_depth)
+    folded = build_vertex_graph(gasket, 0, folded_depth)
+    if window_depth > folded_depth:
+        with pytest.raises(LabelingError, match="not a folded-graph vertex"):
+            lm.fold_graph_vertices(graph, folded)
+    else:
+        mapping = lm.fold_graph_vertices(graph, folded)
+        assert len(set(mapping.tolist())) < folded.n_vertices

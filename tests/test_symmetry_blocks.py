@@ -18,8 +18,10 @@ from fractalheat import (
     unit_interval_system,
 )
 from fractalheat.exact import Vec2
-from fractalheat.geometry import _bisector_reflection, mapped_rows
+from fractalheat.geometry import _bisector_reflection
 from fractalheat.kernels import SpectralKernel
+
+from conftest import exact_points
 
 SYSTEMS = {"gasket": sierpinski_gasket, "interval": unit_interval_system}
 CASES = [
@@ -160,7 +162,7 @@ def test_broken_symmetry_gives_one_dense_block(monkeypatch):
     q[v, v] -= q[v, u]
     q[u, v] *= 2.0
     q[v, u] *= 2.0
-    corners = [graph.points[c] for c in graph.corner_indices()]
+    corners = graph.system.corners(graph.M)
     eigh, sizes = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
     lam, psi = kernels._symmetric_eigh(
@@ -177,12 +179,14 @@ def test_broken_symmetry_gives_one_dense_block(monkeypatch):
 def _exact_permutations(graph):
     """The vertex permutations of the bisector reflections of pairs of
     corners, from the exact points."""
-    corners = [graph.points[c] for c in graph.corner_indices()]
+    points = exact_points(graph)
+    index_of = {p: k for k, p in enumerate(points)}
+    corners = [points[c] for c in graph.corner_indices()]
     perms = []
     for a, x in enumerate(corners):
         for y in corners[a + 1 :]:
             refl = _bisector_reflection(x, y)
-            perms.append(np.array([graph.index_of(refl(p)) for p in graph.points]))
+            perms.append(np.array([index_of[refl(p)] for p in points]))
     return perms
 
 
@@ -233,7 +237,8 @@ def _kdtree_permutations(graph, rows):
     coords = graph.coords[rows]
     tree = cKDTree(coords)
     tol = 1e-9 * max(1.0, float(np.abs(coords).max()))
-    corners = [graph.points[c] for c in graph.corner_indices()]
+    points = exact_points(graph)
+    corners = [points[c] for c in graph.corner_indices()]
     perms = []
     for a, x in enumerate(corners):
         for y in corners[a + 1 :]:
@@ -247,15 +252,9 @@ def _kdtree_permutations(graph, rows):
 
 
 def _lattice_permutations(graph, rows):
-    lattice = graph.lattice[rows]
-    corners = [graph.points[c] for c in graph.corner_indices()]
-    perms = []
-    for a, x in enumerate(corners):
-        for y in corners[a + 1 :]:
-            _, matrix, shift = kernels._reflection_map(x, y)
-            perm = mapped_rows(lattice, graph.lattice_denom, matrix, shift)
-            perms.append(None if (perm < 0).any() else perm)
-    return perms
+    corners = graph.system.corners(graph.M)
+    _, perms = kernels._reflection_rows(graph.lattice[rows], graph.lattice_denom, corners)
+    return [None if (perm < 0).any() else perm for perm in perms]
 
 
 @pytest.mark.parametrize("name", ["gasket", "interval"])
