@@ -355,10 +355,11 @@ class TestFoldingCrosscheck:
         lm = build_good_labeling(gasket, 0, 2)
         window = cache.kernel(gasket, 2, 3)
         folded = cache.kernel(gasket, 0, 4)
-        coarse = set(map(exact_points(folded.graph).index, exact_points(cache.graph(gasket, 0, 3))))
-        x = next(i for i in range(folded.graph.n_vertices) if (i in coarse) == x_in_window)
-        pairs = [(x, y) for y in range(folded.graph.n_vertices)
-                 if y not in folded.graph.corner_indices()]
+        points = exact_points(folded.graph)
+        coarse = {points.index(p) for p in exact_points(cache.graph(gasket, 0, 3))}
+        corners = folded.graph.corner_indices()
+        x = next(i for i in range(len(points)) if (i in coarse) == x_in_window)
+        pairs = [(x, y) for y in range(len(points)) if y not in corners]
         with pytest.raises(KernelError, match=match):
             folding_crosscheck(window, lm, folded, 1.0, pairs)
 
