@@ -598,8 +598,9 @@ class VertexGraph:
     incident: tuple[int, ...]
 
     def __post_init__(self):
-        # each cell spreads mass N**-depth over its K corners; both integers
-        # are below 2^53, so the quotient is the rounded exact measure
+        # each cell spreads mass N**-depth over its K corners; below 2^53
+        # both integers are exact floats, so the quotient is the rounded
+        # exact measure
         self._mass_denom = self.system.n_essential * self.system.n_maps**self.depth
         self.measure = np.asarray(self.incident) / self._mass_denom
         self._adjacency: list[list[int]] | None = None
