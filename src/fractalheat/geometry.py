@@ -768,11 +768,14 @@ def rational_affine(f) -> tuple[tuple, tuple]:
 
 
 def affine_images(pieces, denom: int) -> tuple[np.ndarray, int]:
-    """The images of the lattice ``rows`` (int64, over ``denom``) under the
-    rational affine map ``matrix``, ``shift`` (see :func:`rational_affine`)
-    of each of ``pieces``, stacked as int64 rows over one common denominator
-    ``d * denom``, returned with them: ``r / S`` maps to ``(dA r + dS b) /
-    (dS)``.  Raises :class:`FractalError` when an image could overflow."""
+    """Exact images of lattice points under rational affine maps.
+
+    Each of ``pieces`` is ``(rows, matrix, shift)``: int64 rows over
+    ``denom`` and a map as :func:`rational_affine` gives it.  With d the
+    least integer making ``d * matrix`` and ``d * denom * shift`` integral,
+    ``r / denom`` maps to ``(d matrix r + d denom shift) / (d denom)``.
+    Returns every piece's image rows, stacked, and their denominator ``d *
+    denom``.  Raises :class:`FractalError` when an image could overflow."""
     d = math.lcm(
         *(f.denominator for _, matrix, _ in pieces for row in matrix for f in row),
         *((f * denom).denominator for _, _, shift in pieces for f in shift),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 from pathlib import Path
@@ -219,3 +220,20 @@ def test_fold_into_a_graph_of_another_depth_raises(gasket, window_depth, folded_
     else:
         mapping = lm.fold_graph_vertices(graph, folded)
         assert len(set(mapping.tolist())) < folded.n_vertices
+
+
+def test_fold_that_tears_a_shared_vertex_raises(gasket):
+    # turn one non-base complex by another rotation of the group: its
+    # images are still folded-graph vertices, but the corner it shares with
+    # the base complex now folds to two different points
+    lm = build_good_labeling(gasket, 0, 1)
+    c = lm.complexes[1]
+    index = (c.rotation_index + 1) % lm.group.order
+    torn = dataclasses.replace(
+        c, rotation=lm.group.elements[index], rotation_index=index
+    )
+    bad = dataclasses.replace(lm, complexes=(lm.complexes[0], torn, *lm.complexes[2:]))
+    graph = build_vertex_graph(gasket, 1, 2)
+    folded = build_vertex_graph(gasket, 0, 2)
+    with pytest.raises(LabelingError, match="fold it apart"):
+        bad.fold_graph_vertices(graph, folded)
