@@ -22,6 +22,7 @@ which alone inflates Euclidean-metric ratio spreads of jump-kernel shapes by
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -82,10 +83,7 @@ class EnvelopeForm:
             raise BoundError(f"{self.kind} requires the complex level M")
 
     def with_constant(self, c: float) -> "EnvelopeForm":
-        return EnvelopeForm(
-            kind=self.kind, d=self.d, d_w=self.d_w, d_J=self.d_J, L=self.L,
-            alpha=self.alpha, M=self.M, c=c,
-        )
+        return dataclasses.replace(self, c=c)
 
     # -- pieces shared with the constant fit --------------------------------
 
@@ -448,16 +446,9 @@ class ReflectionStudy:
         """Intrinsic shortest-path metric of the folded graph; every edge has
         Euclidean length ``L^-depth``, so hop counts scale exactly."""
         if self._geodesic is None:
-            from scipy.sparse import csr_matrix
             from scipy.sparse.csgraph import shortest_path
 
-            graph = self.folded.graph
-            n = graph.n_vertices
-            rows = [u for u, v in graph.edges] + [v for u, v in graph.edges]
-            cols = [v for u, v in graph.edges] + [u for u, v in graph.edges]
-            data = np.ones(len(rows))
-            adj = csr_matrix((data, (rows, cols)), shape=(n, n))
-            hops = shortest_path(adj, method="D", unweighted=True)
+            hops = shortest_path(self.folded.graph.adjacency, method="D", unweighted=True)
             self._geodesic = hops * float(self.system.L) ** (-self.depth)
         return self._geodesic
 

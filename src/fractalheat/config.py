@@ -194,37 +194,48 @@ def load_run_config(path: str | Path, out_override=None) -> RunConfig:
     )
     subs = [parse_subordinator(s) for s in subs_text.split(";") if s.strip()]
 
-    def _get(section, key, cast, default):
-        if key not in section:
-            return default
+    def _get(section, key, cast):
         try:
             return cast(section[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
 
+    def _floats(text):
+        return tuple(float(x) for x in text.split(","))
+
+    # (section, key, field, cast) for every key a run config may set; a key
+    # left out keeps the RunConfig default
+    keys = (
+        (run, "m", "M", int),
+        (run, "n", "n", int),
+        (run, "window", "window", int),
+        (run, "seed", "seed", int),
+        (run, "metric", "metric", str),
+        (grids, "n_times", "n_times", int),
+        (grids, "t_min", "t_min", float),
+        (grids, "flat_span", "flat_span", float),
+        (grids, "kernel_times", "kernel_times", _floats),
+        (grids, "table_pairs", "table_pairs", int),
+        (grids, "crosscheck_samples", "crosscheck_samples", int),
+        (thresholds, "spread", "spread_threshold", float),
+        (thresholds, "stability", "stability_threshold", float),
+        (thresholds, "domination_tol", "domination_tol", float),
+        (thresholds, "bracket_tol", "bracket_tol", float),
+    )
+    settings = {
+        name: _get(section, key, cast)
+        for section, key, name, cast in keys
+        if key in section
+    }
+    out = out_override or run.get("out")
+    if out is not None:
+        settings["out_dir"] = Path(out)
     cfg = RunConfig(
         fractal_path=fractal_path,
         system=system,
-        M=_get(run, "m", int, 1),
-        n=_get(run, "n", int, 5),
-        window=_get(run, "window", int, 2),
-        seed=_get(run, "seed", int, 20240801),
-        out_dir=Path(out_override or run.get("out", "out")),
         subordinators=subs,
-        n_times=_get(grids, "n_times", int, 12),
-        t_min=_get(grids, "t_min", float, 0.1),
-        flat_span=_get(grids, "flat_span", float, 10.0),
-        kernel_times=tuple(
-            float(x) for x in _get(grids, "kernel_times", str, "0.5,1,2,5").split(",")
-        ),
-        table_pairs=_get(grids, "table_pairs", int, 300),
-        crosscheck_samples=_get(grids, "crosscheck_samples", int, 8),
-        spread_threshold=_get(thresholds, "spread", float, 10.0),
-        stability_threshold=_get(thresholds, "stability", float, 0.5),
-        domination_tol=_get(thresholds, "domination_tol", float, 1e-8),
-        bracket_tol=_get(thresholds, "bracket_tol", float, 0.8),
-        metric=_get(run, "metric", str, "geodesic"),
         raw_text=text,
+        **settings,
     )
     cfg.validate()
     return cfg

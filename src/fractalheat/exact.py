@@ -248,23 +248,6 @@ class LinearMap2:
     def transpose(self) -> "LinearMap2":
         return LinearMap2(self.m00, self.m10, self.m01, self.m11)
 
-    def det(self) -> Q3:
-        return self.m00 * self.m11 - self.m01 * self.m10
-
-    def inverse(self) -> "LinearMap2":
-        d = self.det()
-        inv = d.inverse()
-        return LinearMap2(self.m11 * inv, -self.m01 * inv, -self.m10 * inv, self.m00 * inv)
-
-    def is_orthogonal(self) -> bool:
-        p = self.transpose() @ self
-        return (
-            p.m00 == Q3.ONE
-            and p.m11 == Q3.ONE
-            and p.m01 == Q3.ZERO
-            and p.m10 == Q3.ZERO
-        )
-
     def is_identity(self) -> bool:
         return self == LinearMap2.identity()
 

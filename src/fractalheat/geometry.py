@@ -9,6 +9,8 @@ incident cells over ``K N**depth``, so graph totals come out exactly
 
 Conventions
 -----------
+* Every map of a system is ``x -> x/L + nu``: one shared ratio ``1/L`` and
+  a translation ``nu``, with no rotation or reflection part.
 * ``K<<M>> = L^M K<<0>>`` is the scaled fractal; an ``m``-cell is a translate
   ``K<<m>> + nu`` of it.
 * ``build_vertex_graph(system, M, n)`` tiles ``K<<M>>`` by cells at absolute
@@ -19,13 +21,14 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import _SQRT3, LinearMap2, Q3, Vec2, sort_points
+from .exact import _SQRT3, Q3, Vec2, sort_points
 
 
 class FractalError(ValueError):
@@ -34,33 +37,21 @@ class FractalError(ValueError):
 
 @dataclass(frozen=True)
 class Similitude:
-    """Contraction x -> scale * U(x) + translation with orthogonal U."""
+    """Contraction x -> scale * x + translation."""
 
     scale: Fraction
-    isometry: LinearMap2
     translation: Vec2
 
     def __post_init__(self):
         if not (0 < self.scale < 1):
             raise FractalError(f"similitude scale must be in (0,1), got {self.scale}")
-        if not self.isometry.is_orthogonal():
-            raise FractalError("similitude isometry part must be orthogonal")
 
     def __call__(self, p: Vec2) -> Vec2:
-        return self.isometry.apply(p).scaled(self.scale) + self.translation
+        return p.scaled(self.scale) + self.translation
 
     def fixed_point(self) -> Vec2:
-        """Unique solution of (I - scale*U) x = translation."""
-        s = Q3.of(self.scale)
-        u = self.isometry
-        # A = I - s U
-        a = LinearMap2(
-            Q3.ONE - s * u.m00,
-            -(s * u.m01),
-            -(s * u.m10),
-            Q3.ONE - s * u.m11,
-        )
-        return a.inverse().apply(self.translation)
+        """The solution of x = scale * x + translation."""
+        return self.translation.scaled(1 / (1 - self.scale))
 
 
 @dataclass(frozen=True)
@@ -88,10 +79,6 @@ class FractalSystem:
     def spectral_dim(self) -> float:
         return 2.0 * self.hausdorff_dim / self.walk_dim
 
-    @property
-    def has_identity_isometries(self) -> bool:
-        return all(m.isometry.is_identity() for m in self.maps)
-
     def corners(self, M: int) -> tuple[Vec2, ...]:
         """The essential vertices of ``K<<M>> = L^M K<<0>>``, exactly."""
         scale = self.L**M
@@ -100,11 +87,7 @@ class FractalSystem:
     def fingerprint(self) -> str:
         """Canonical content string, used for cache keys."""
         parts = [self.name, str(self.L), f"{self.walk_dim!r}", f"{self.chemical_exp!r}"]
-        for m in self.maps:
-            parts.append(
-                f"{m.scale}|{m.isometry.m00},{m.isometry.m01},{m.isometry.m10},{m.isometry.m11}"
-                f"|{m.translation}"
-            )
+        parts += [f"{m.scale}|{m.translation}" for m in self.maps]
         return ";".join(parts)
 
 
@@ -114,11 +97,11 @@ def build_system(
     translations: list[Vec2],
     walk_dim: float,
     chemical_exp: float,
-    isometries: list[LinearMap2] | None = None,
     osc_attested: bool = True,
     essential_override: list[Vec2] | None = None,
 ) -> FractalSystem:
-    """Assemble and structurally validate a similitude system.
+    """Assemble and structurally validate the system of maps ``x/L + nu``
+    over ``translations``.
 
     ``essential_override`` pins the corner set instead of deriving it from
     the fixed points; cells and graphs are built on the declared corners, so
@@ -131,17 +114,9 @@ def build_system(
     L = Fraction(L)
     if L <= 1:
         raise FractalError(f"scaling factor L must exceed 1, got {L}")
-    n = len(translations)
-    if isometries is None:
-        isometries = [LinearMap2.identity()] * n
-    if len(isometries) != n:
-        raise FractalError("one isometry per translation required")
     if translations[0] != Vec2.ZERO:
         raise FractalError("first translation must be the origin (nu_1 = 0)")
-    maps = tuple(
-        Similitude(Fraction(1, 1) / L, iso, nu)
-        for iso, nu in zip(isometries, translations)
-    )
+    maps = tuple(Similitude(1 / L, nu) for nu in translations)
     ess = list(essential_override) if essential_override else _essential_fixed_points(maps)
     if len(ess) < 2:
         raise FractalError(
@@ -149,7 +124,7 @@ def build_system(
         )
     if chemical_exp <= 1:
         raise FractalError(f"chemical exponent must exceed 1, got {chemical_exp}")
-    d = math.log(n) / math.log(float(L))
+    d = math.log(len(maps)) / math.log(float(L))
     return FractalSystem(
         name=name,
         maps=maps,
@@ -523,27 +498,14 @@ def validate_snf(system: FractalSystem, depth: int = 3) -> SnfReport:
     # Connectivity of the one-step cell graph
     points = sorted({p for cs in child_corners for p in cs}, key=lambda p: (float(p.x), float(p.y)))
     index = {p: k for k, p in enumerate(points)}
-    adjacency: dict[int, set[int]] = {k: set() for k in range(len(points))}
-    for cs in child_corners:
-        idx = [index[p] for p in cs]
-        for u in idx:
-            for v in idx:
-                if u != v:
-                    adjacency[u].add(v)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    connected = len(seen) == len(points)
+    cells = np.array([[index[p] for p in cs] for cs in child_corners], dtype=np.int64)
+    n = len(points)
+    unreachable = n - int(_reachable(_symmetric_csr(_cell_edges(cells, n), n), 0).sum())
     results.append(
         AxiomResult(
             "connectivity",
-            connected,
-            "" if connected else f"{len(points) - len(seen)} vertices unreachable",
+            unreachable == 0,
+            f"{unreachable} vertices unreachable" if unreachable else "",
         )
     )
 
@@ -584,7 +546,10 @@ class VertexGraph:
     common denominator S; ``coords`` holds the same points in floats.
     ``cells`` (word order) holds the vertices at each cell's corners, and
     ``incident[k]`` counts the cells at vertex k, so the measure
-    ``incident / (K N**depth)`` sums to exactly ``N**M``.
+    ``incident / (K N**depth)`` sums to exactly ``N**M``.  ``edges`` holds
+    each edge once as ``(u, v)`` with ``u < v``, in ascending order, and
+    every walk of the graph reads the symmetric CSR ``adjacency`` built
+    from them.
     """
 
     system: FractalSystem
@@ -593,17 +558,16 @@ class VertexGraph:
     lattice: np.ndarray = field(repr=False, compare=False)  # n x 4 int64
     lattice_denom: int = field(repr=False, compare=False)
     coords: np.ndarray = field(repr=False, compare=False)  # float points, n x 2
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray = field(repr=False, compare=False)  # E x 2 int64
     cells: np.ndarray = field(repr=False, compare=False)  # n_cells x K int64
-    incident: tuple[int, ...]
+    incident: np.ndarray = field(repr=False, compare=False)  # n int64
 
     def __post_init__(self):
         # each cell spreads mass N**-depth over its K corners; below 2^53
         # both integers are exact floats, so the quotient is the rounded
         # exact measure
         self._mass_denom = self.system.n_essential * self.system.n_maps**self.depth
-        self.measure = np.asarray(self.incident) / self._mass_denom
-        self._adjacency: list[list[int]] | None = None
+        self.measure = self.incident / self._mass_denom
 
     @property
     def n_vertices(self) -> int:
@@ -613,22 +577,19 @@ class VertexGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def adjacency(self) -> list[list[int]]:
-        if self._adjacency is None:
-            adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adjacency = [sorted(nb) for nb in adj]
-        return self._adjacency
+    @functools.cached_property
+    def adjacency(self):
+        """The n x n CSR array with a 1.0 at ``(u, v)`` and ``(v, u)`` for
+        each edge, sorted indices: row k lists the neighbours of vertex k
+        in ascending order."""
+        return _symmetric_csr(self.edges, self.n_vertices)
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.array([len(nb) for nb in self.adjacency])
+        return np.diff(self.adjacency.indptr).astype(np.int64)
 
     def total_mass_exact(self) -> Fraction:
-        return Fraction(sum(self.incident), self._mass_denom)
+        return Fraction(int(self.incident.sum()), self._mass_denom)
 
     def positions(self, rows: np.ndarray, denom) -> np.ndarray:
         """Vertex of each point ``rows / denom`` (int64 rows as ``lattice``,
@@ -644,20 +605,7 @@ class VertexGraph:
         return found.tolist()
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        seen = np.zeros(self.n_vertices, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self.n_vertices
+        return self.n_vertices == 0 or bool(_reachable(self.adjacency, 0).all())
 
     def distance_matrix(self) -> np.ndarray:
         diff = self.coords[:, None, :] - self.coords[None, :, :]
@@ -684,10 +632,6 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
         raise FractalError("depth must be >= 0")
     if -depth > M:
         raise FractalError(f"cell level {-depth} exceeds ambient level {M}")
-    if not system.has_identity_isometries:
-        raise FractalError(
-            "vertex graphs require identity isometry parts (shipped fractals)"
-        )
     # letters at scales L^M, ..., L^(1-depth), then the corners of the base cell
     shifts = [
         [m.translation.scaled(system.L**j) for m in system.maps]
@@ -707,10 +651,6 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
     cells = rank[inverse.ravel()].reshape(len(offsets), len(base))
     lattice = rows[order]
     n = len(lattice)
-
-    a, b = np.triu_indices(len(base), 1)
-    u, v = cells[:, a].ravel(), cells[:, b].ravel()
-    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
     # columns (x.a, y.a) and (x.b, y.b): the rational and the sqrt3 parts
     coords = lattice[:, 0::2] / denom + (lattice[:, 1::2] / denom) * _SQRT3
     return VertexGraph(
@@ -720,10 +660,46 @@ def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph
         lattice=lattice,
         lattice_denom=denom,
         coords=coords,
-        edges=tuple(zip((keys // n).tolist(), (keys % n).tolist())),
+        edges=_cell_edges(cells, n),
         cells=cells,
-        incident=tuple(np.bincount(cells.ravel(), minlength=n).tolist()),
+        incident=np.bincount(cells.ravel(), minlength=n),
     )
+
+
+def _cell_edges(cells: np.ndarray, n: int) -> np.ndarray:
+    """The edges joining the corners of a common cell, each once as ``(u,
+    v)`` with ``u < v``, ascending: an E x 2 int64 array.  ``cells`` holds
+    each cell's corner vertices, out of ``n``."""
+    a, b = np.triu_indices(cells.shape[1], 1)
+    u, v = cells[:, a].ravel(), cells[:, b].ravel()
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    return np.stack([keys // n, keys % n], axis=1)
+
+
+def _symmetric_csr(edges: np.ndarray, n: int):
+    """The symmetric n x n CSR array of ``edges`` (as :func:`_cell_edges`
+    gives them): a 1.0 at both ``(u, v)`` and ``(v, u)``, sorted indices."""
+    from scipy.sparse import csr_array  # loads on the first walk, not on import
+
+    u, v = edges.T
+    adjacency = csr_array(
+        (np.ones(2 * len(edges)), (np.r_[u, v], np.r_[v, u])), shape=(n, n)
+    )
+    adjacency.sort_indices()
+    return adjacency
+
+
+def _reachable(adjacency, start: int) -> np.ndarray:
+    """Boolean mask of the vertices joined to ``start`` by a path in the
+    symmetric CSR ``adjacency``: breadth first, one sparse product per
+    frontier."""
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    frontier = seen.copy()
+    frontier[start] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = (adjacency @ frontier > 0) & ~seen
+    return seen
 
 
 def _common_lattice(groups: list[list[Vec2]]) -> tuple[int, list[np.ndarray]]:

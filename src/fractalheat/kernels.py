@@ -87,10 +87,10 @@ def build_generator(graph: VertexGraph) -> Generator:
         raise KernelError("generator requires a connected graph")
     lam = float(graph.system.L) ** (graph.system.walk_dim * graph.depth)
     n = graph.n_vertices
-    inc = np.asarray(graph.incident, dtype=float)
-    u, v = np.asarray(graph.edges, dtype=np.intp).T
-    rows, cols, diag = np.r_[u, v], np.r_[v, u], np.arange(n)
-    rates = lam / inc[rows]
+    # one rate per edge direction, at the nonzeros of the adjacency
+    rows, cols = np.repeat(np.arange(n), graph.degrees), graph.adjacency.indices
+    diag = np.arange(n)
+    rates = lam / graph.incident[rows]
     # the rates out of a vertex are equal, and up to 4 equal terms (the
     # gasket's degree) sum to the same bits in any order, as in a dense sum
     data = np.r_[rates, -np.bincount(rows, rates, minlength=n)]
@@ -621,20 +621,15 @@ def absorbing_exit_time(
     graph: VertexGraph, start: int, absorbing: list[int]
 ) -> float:
     """Expected absorption time of the unit-edge-rate walk (rate 1 per edge)."""
-    n = graph.n_vertices
-    absorbing_set = set(absorbing)
-    free = [i for i in range(n) if i not in absorbing_set]
-    pos = {v: k for k, v in enumerate(free)}
-    a = np.zeros((len(free), len(free)))
-    for k, v in enumerate(free):
-        deg = len(graph.adjacency[v])
-        a[k, k] = deg
-        for w in graph.adjacency[v]:
-            if w in pos:
-                a[k, pos[w]] -= 1.0
-    rhs = np.ones(len(free))
-    sol = np.linalg.solve(a, rhs)
-    return float(sol[pos[start]])
+    free = np.ones(graph.n_vertices, dtype=bool)
+    free[absorbing] = False
+    if not free[start]:
+        raise KernelError("the walk must start off the absorbing vertices")
+    # the generator's negative on the free vertices: degrees on the diagonal,
+    # -1 per edge between free vertices
+    a = np.diag(graph.degrees[free]) - graph.adjacency[free][:, free].toarray()
+    sol = np.linalg.solve(a, np.ones(len(a)))
+    return float(sol[np.count_nonzero(free[:start])])
 
 
 def estimate_walk_dimension(

@@ -92,8 +92,8 @@ class PipelineState:
     cache: KernelCache
     written: list[Path] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
-    reports: dict[str, dict[str, BoundReport]] = field(default_factory=dict)
-    stability: dict[str, float] = field(default_factory=dict)
+    # the bounds.json entry of each claim, by (subordinator label, report name)
+    claims: dict[tuple[str, str], dict] = field(default_factory=dict)
     plot_rows: dict[str, list[tuple]] = field(default_factory=dict)
     claims_passed: bool = True
 
@@ -127,7 +127,6 @@ def _stage_labeling(state: PipelineState) -> None:
     cfg = state.config
     label_map = build_good_labeling(cfg.system, cfg.M, cfg.window)
     state.out("reports/labeling.txt").write_text(label_map.to_text())
-    state.label_map = label_map
 
 
 def _write_table(state: PipelineState, rel: str, kernel, spec=None) -> None:
@@ -170,8 +169,7 @@ def _stage_subordinate(state: PipelineState) -> None:
     folded = state.cache.kernel(cfg.system, cfg.M, cfg.n)
     payload = {}
     for spec in cfg.subordinators:
-        safe = spec.label().replace("(", "_").replace(")", "").replace(",", "_")
-        _write_table(state, f"tables/subordinate_{safe}.csv", folded, spec)
+        _write_table(state, f"tables/subordinate_{_file_stem(spec.label())}.csv", folded, spec)
         check = crosscheck_subordination(
             folded, spec, times=[0.5, 1.0, 2.0],
             n_samples=cfg.crosscheck_samples, seed=cfg.seed,
@@ -223,18 +221,24 @@ def _stage_verify(state: PipelineState) -> None:
         fine_reports, coarse_reports = _bound_reports((fine, coarse), spec, cfg)
         for name, rep in fine_reports.items():
             stab = refinement_stability(coarse_reports[name], rep)
-            state.stability[rep.claim] = stab
             entry = rep.to_dict()
             entry["stability"] = stab
             entry["stability_pass"] = stab <= cfg.stability_threshold
             entry["pass"] = bool(entry["pass"] and stab <= cfg.stability_threshold)
             all_reports[rep.claim] = entry
+            state.claims[spec.label(), name] = entry
             passed &= entry["pass"]
             key = f"{spec.label()}:{name}"
             state.plot_rows[key] = _collect_plot_rows(fine, rep, cfg.metric)
-            state.reports.setdefault(spec.label(), {})[name] = rep
     _write_json(state.out("reports/bounds.json"), all_reports)
     state.claims_passed = passed
+
+
+def _file_stem(label: str) -> str:
+    """A subordinator label or plot key as a file-name part:
+    ``stable(0.5)`` -> ``stable_0.5``, ``relativistic(0.5,1):flat`` ->
+    ``relativistic_0.5_1-flat``."""
+    return label.replace("(", "_").replace(")", "").replace(",", "_").replace(":", "-")
 
 
 def emit_plot_data(plot_rows: dict[str, list[tuple]], outdir: Path) -> list[Path]:
@@ -245,8 +249,7 @@ def emit_plot_data(plot_rows: dict[str, list[tuple]], outdir: Path) -> list[Path
     files: list[Path] = []
     for key in sorted(plot_rows):
         rows = plot_rows[key]
-        safe = key.replace("(", "_").replace(")", "").replace(",", "_").replace(":", "-")
-        path = outdir / f"claim_{safe}.csv"
+        path = outdir / f"claim_{_file_stem(key)}.csv"
         with path.open("w") as fh:
             fh.write("t,r,kernel,form,ratio\n")
             for t, r, kern, formval, ratio in rows:
@@ -276,14 +279,12 @@ def _stage_report(state: PipelineState) -> None:
     plot_files = emit_plot_data(state.plot_rows, cfg.out_dir / "plots")
     state.written.extend(plot_files)
     lines = [f"fractalheat run summary (version {__version__})"]
-    for spec_label, reps in sorted(state.reports.items()):
-        for name, rep in sorted(reps.items()):
-            stab = state.stability.get(rep.claim)
-            status = "pass" if rep.passed and (stab is None or stab <= cfg.stability_threshold) else "FAIL"
-            lines.append(
-                f"{status}  {rep.claim}: spread {rep.spread:.4g}"
-                + (f", stability {stab:.3f}" if stab is not None else "")
-            )
+    for _, entry in sorted(state.claims.items()):
+        status = "pass" if entry["pass"] else "FAIL"
+        lines.append(
+            f"{status}  {entry['claim']}: spread {entry['spread']:.4g}, "
+            f"stability {entry['stability']:.3f}"
+        )
     summary = state.out("reports/summary.txt")
     summary.write_text("\n".join(lines) + "\n")
 

@@ -110,6 +110,7 @@ class TestRunConfig:
             "flat_span = 1",
             "t_min = 0.95",
             "kernel_times = 0.5,0,2",
+            "kernel_times = 0.5,x",
             "table_pairs = 0",
             "table_pairs = -1",
             "crosscheck_samples = 0",

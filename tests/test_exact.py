@@ -90,10 +90,9 @@ def test_rotation_matrix_exact():
     cos = Q3.of(Fraction(-1, 2))
     sin = Q3.of(0, Fraction(1, 2))
     rot = LinearMap2.rotation(cos, sin)
-    assert rot.is_orthogonal()
+    assert (rot.transpose() @ rot).is_identity()
     third = rot @ rot @ rot
     assert third.is_identity()
-    assert rot.inverse() == rot.transpose()
 
 
 def test_barycenter_and_sort():

@@ -15,7 +15,8 @@ from fractalheat import (
     gasket_vertex_count,
     validate_snf,
 )
-from fractalheat.exact import Q3, Vec2
+from fractalheat.exact import LinearMap2, Q3, Vec2
+from fractalheat.geometry import Similitude
 
 from conftest import exact_points
 
@@ -25,6 +26,28 @@ def test_gasket_fixed_points(gasket):
     assert fps[0] == Vec2.ZERO
     assert fps[1] == Vec2.of(1, 0)
     assert fps[2] == Vec2(Q3.of(Fraction(1, 2)), Q3.of(0, Fraction(1, 2)))
+
+
+def _general_fixed_point(scale, translation, u=LinearMap2.identity()):
+    """The fixed point of x -> scale U x + translation as the general solve
+    forms it: (I - scale U)^-1 translation, inverted through the
+    determinant."""
+    s = Q3.of(scale)
+    a = LinearMap2(Q3.ONE - s * u.m00, -(s * u.m01), -(s * u.m10), Q3.ONE - s * u.m11)
+    inv = (a.m00 * a.m11 - a.m01 * a.m10).inverse()
+    return LinearMap2(a.m11 * inv, -a.m01 * inv, -a.m10 * inv, a.m00 * inv).apply(translation)
+
+
+def test_fixed_point_matches_general_solve(gasket, interval):
+    maps = [*gasket.maps, *interval.maps]
+    maps += [
+        Similitude(Fraction(1, 3), Vec2(Q3.of(Fraction(1, 5), Fraction(2, 7)), Q3.of(Fraction(-3, 4)))),
+        Similitude(Fraction(5, 8), Vec2(Q3.of(0, Fraction(-1, 9)), Q3.of(Fraction(7, 2), 1))),
+    ]
+    for m in maps:
+        x = m.fixed_point()
+        assert x == _general_fixed_point(m.scale, m.translation)
+        assert m(x) == x
 
 
 def test_gasket_essential_vertices_are_all_fixed_points(gasket):
@@ -88,7 +111,12 @@ class TestValidation:
             essential_override=list(gasket.essential_vertices),
         )
         report = validate_snf(broken, depth=3)
-        assert not report.ok
+        assert [r.name for r in report.results if not r.passed] == ["symmetry", "connectivity"]
+        assert report.result("symmetry").detail == (
+            "reflection across bisector of ((0, 0), (1, 0)) maps cell 1 corners "
+            "outside the family"
+        )
+        assert report.result("connectivity").detail == "3 vertices unreachable"
 
     def test_osc_reported_as_asserted(self, gasket):
         report = validate_snf(gasket, depth=2)
@@ -163,16 +191,16 @@ class TestVertexGraph:
         corners = set(g.corner_indices())
         for idx in range(g.n_vertices):
             expected = 2 if idx in corners else 4
-            assert len(g.adjacency[idx]) == expected
+            assert g.degrees[idx] == expected
 
     def test_deterministic_rebuild(self, gasket):
         a = build_vertex_graph(gasket, 0, 3)
         b = build_vertex_graph(gasket, 0, 3)
         assert np.array_equal(a.lattice, b.lattice)
         assert a.lattice_denom == b.lattice_denom
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.cells, b.cells)
-        assert a.incident == b.incident
+        assert np.array_equal(a.incident, b.incident)
 
     def test_connected(self, gasket, interval):
         assert build_vertex_graph(gasket, 1, 2).is_connected()
@@ -187,15 +215,14 @@ class TestVertexGraph:
                     e = tuple(sorted((idx[a], idx[b])))
                     edge_cells.setdefault(e, 0)
                     edge_cells[e] += 1
-        assert set(edge_cells) == set(g.edges)
+        assert set(edge_cells) == set(map(tuple, g.edges.tolist()))
         assert all(count == 1 for count in edge_cells.values())
 
     def test_interval_graph_is_path(self, interval):
         g = build_vertex_graph(interval, 0, 3)
         assert g.n_vertices == 9
         assert g.n_edges == 8
-        degrees = sorted(len(nb) for nb in g.adjacency)
-        assert degrees == [1, 1] + [2] * 7
+        assert sorted(g.degrees.tolist()) == [1, 1] + [2] * 7
 
 
 def _fraction_graph(system, M, depth):
@@ -231,9 +258,9 @@ def test_lattice_build_matches_fraction_loop(request, name, M, depth):
     g = build_vertex_graph(system, M, depth)
     points, edges, cells, incident, measure = _fraction_graph(system, M, depth)
     assert exact_points(g) == points
-    assert g.edges == tuple(edges)
+    assert g.edges.dtype == np.int64 and g.edges.tolist() == [list(e) for e in edges]
     assert g.cells.dtype == np.int64 and g.cells.tolist() == cells
-    assert g.incident == tuple(incident)
+    assert g.incident.dtype == np.int64 and g.incident.tolist() == incident
     assert g.total_mass_exact() == sum(measure) == Fraction(system.n_maps) ** M
     coords = np.array([p.to_floats() for p in points])
     assert g.coords.tobytes() == coords.tobytes() and g.coords.shape == coords.shape

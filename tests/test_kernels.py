@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fractalheat import (
     kernels,
     spectral_decompose,
 )
+from fractalheat.bounds import ReflectionStudy
 from fractalheat.kernels import absorbing_exit_time
 from fractalheat.subordinators import SubordinatorSpec
 
@@ -41,6 +43,78 @@ def absorbing_exit_time_embedded(graph, start: int, absorbing: list[int]) -> flo
     hold = 1.0 / deg[free]
     visits = np.linalg.solve(np.eye(m) - p.T, np.eye(m)[pos[start]])
     return float(visits @ hold)
+
+
+def _list_adjacency(graph) -> list[list[int]]:
+    """Sorted neighbour lists read off the edge list."""
+    adjacency = [[] for _ in range(graph.n_vertices)]
+    for u, v in graph.edges.tolist():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return [sorted(nb) for nb in adjacency]
+
+
+def _dfs_is_connected(adjacency) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(adjacency)
+
+
+def _list_exit_time(adjacency, start: int, absorbing: list[int]) -> float:
+    """The unit-edge-rate exit-time system assembled entry by entry."""
+    free = [i for i in range(len(adjacency)) if i not in set(absorbing)]
+    pos = {v: k for k, v in enumerate(free)}
+    a = np.zeros((len(free), len(free)))
+    for k, v in enumerate(free):
+        a[k, k] = len(adjacency[v])
+        for w in adjacency[v]:
+            if w in pos:
+                a[k, pos[w]] -= 1.0
+    return float(np.linalg.solve(a, np.ones(len(free)))[pos[start]])
+
+
+def _list_hops(graph) -> np.ndarray:
+    """Hop counts from a CSR matrix built out of Python edge lists."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    edges = graph.edges.tolist()
+    rows = [u for u, v in edges] + [v for u, v in edges]
+    cols = [v for u, v in edges] + [u for u, v in edges]
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(graph.n_vertices,) * 2)
+    return shortest_path(adj, method="D", unweighted=True)
+
+
+@pytest.mark.parametrize("name", ["gasket", "interval"])
+@pytest.mark.parametrize("M", range(3))
+@pytest.mark.parametrize("depth", range(6))
+def test_array_walks_match_list_walks(request, name, M, depth):
+    # every walk reads the CSR adjacency; each must give the bits of the
+    # list and loop route it replaced
+    system = request.getfixturevalue(name)
+    graph = build_vertex_graph(system, M, depth)
+    lists = _list_adjacency(graph)
+    adj = graph.adjacency
+    assert [row.tolist() for row in np.split(adj.indices, adj.indptr[1:-1])] == lists
+    assert graph.degrees.dtype == np.int64
+    assert graph.degrees.tolist() == [len(nb) for nb in lists]
+    assert graph.is_connected() and _dfs_is_connected(lists)
+    torn = dataclasses.replace(graph, edges=graph.edges[::2])
+    assert torn.is_connected() == _dfs_is_connected(_list_adjacency(torn))
+    corners = graph.corner_indices()
+    direct = absorbing_exit_time(graph, corners[0], corners[1:])
+    assert direct == _list_exit_time(lists, corners[0], corners[1:])
+    study = ReflectionStudy(
+        system, M, depth, M + 1, folded=SimpleNamespace(graph=graph),
+        window_kernel=None, sub_indices=None,
+    )
+    hops = _list_hops(graph) * float(system.L) ** (-depth)
+    assert study.geodesic_distances().tobytes() == hops.tobytes()
 
 
 class TestGenerator:
@@ -391,6 +465,12 @@ class TestWalkDimension:
         direct = absorbing_exit_time(graph, corners[0], corners[1:])
         embedded = absorbing_exit_time_embedded(graph, corners[0], corners[1:])
         assert direct == pytest.approx(embedded, rel=1e-10)
+
+    def test_exit_time_rejects_an_absorbing_start(self, gasket, cache):
+        graph = cache.graph(gasket, 0, 2)
+        corners = graph.corner_indices()
+        with pytest.raises(KernelError, match="absorbing"):
+            absorbing_exit_time(graph, corners[1], corners[1:])
 
     def test_exit_time_scaling_factor(self, gasket, cache):
         est = estimate_walk_dimension(gasket, 5, cache=cache)

@@ -62,6 +62,17 @@ class TestPipeline:
             assert path.exists()
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_summary_gives_the_verdict_of_bounds_json(self, tmp_path):
+        # a tight stability threshold fails claims whose spread passes
+        cfg = load_run_config(_quick_config(tmp_path, stability="0.02"))
+        assert not run_pipeline(cfg).claims_passed
+        entries = json.loads((cfg.out_dir / "reports/bounds.json").read_text())
+        assert any(e["spread"] <= cfg.spread_threshold and not e["stability_pass"]
+                   for e in entries.values())
+        lines = (cfg.out_dir / "reports/summary.txt").read_text().splitlines()[1:]
+        status = {line.split("  ")[1].split(": ")[0]: line.split("  ")[0] for line in lines}
+        assert status == {c: "pass" if e["pass"] else "FAIL" for c, e in entries.items()}
+
     def test_identical_runs_reproduce_bytes(self, tmp_path):
         path = _quick_config(tmp_path)
         cfg_a = load_run_config(path, out_override=tmp_path / "a")
@@ -302,12 +313,14 @@ class TestCli:
 
     def test_runs_do_not_import_unused_scipy_subpackages(self, tmp_path):
         # neither the imports nor a cold report load scipy.integrate or
-        # scipy.spatial (each costs a run 0.1-0.4 s of start-up)
+        # scipy.spatial (each costs a run 0.1-0.4 s of start-up); the imports
+        # do not load scipy.sparse.csgraph either, which a run loads only
+        # for its geodesic distances
         script = (
             "import sys\n"
             "import fractalheat.cli, fractalheat.pipeline, fractalheat.subordinate\n"
             "heavy = ('scipy.integrate', 'scipy.spatial')\n"
-            "print(*[m for m in heavy if m in sys.modules])\n"
+            "print(*[m for m in heavy + ('scipy.sparse.csgraph',) if m in sys.modules])\n"
             "from fractalheat.config import load_run_config\n"
             f"cfg = load_run_config({str(_quick_config(tmp_path))!r})\n"
             "assert fractalheat.pipeline.run_pipeline(cfg).claims_passed\n"
