@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -392,6 +393,10 @@ class ReflectionStudy:
     iterated folding it dominates the true free kernel from above, while the
     window walk killed at the outer corners dominates from below, so the pair
     brackets the truncation error.
+
+    Report jobs on several threads may share a study: each distance matrix
+    is built once, under the study's lock, and the killed kernel comes from
+    the cache, whose lock builds it once.
     """
 
     system: FractalSystem
@@ -405,6 +410,7 @@ class ReflectionStudy:
     _geodesic: np.ndarray | None = None
     _euclidean: np.ndarray | None = None
     cache: KernelCache | None = None
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -445,18 +451,20 @@ class ReflectionStudy:
     def geodesic_distances(self) -> np.ndarray:
         """Intrinsic shortest-path metric of the folded graph; every edge has
         Euclidean length ``L^-depth``, so hop counts scale exactly."""
-        if self._geodesic is None:
-            from scipy.sparse.csgraph import shortest_path
+        with self._lock:
+            if self._geodesic is None:
+                from scipy.sparse.csgraph import shortest_path
 
-            hops = shortest_path(self.folded.graph.adjacency, method="D", unweighted=True)
-            self._geodesic = hops * float(self.system.L) ** (-self.depth)
-        return self._geodesic
+                hops = shortest_path(self.folded.graph.adjacency, method="D", unweighted=True)
+                self._geodesic = hops * float(self.system.L) ** (-self.depth)
+            return self._geodesic
 
     def euclidean_distances(self) -> np.ndarray:
         """Euclidean pair distances on the folded graph."""
-        if self._euclidean is None:
-            self._euclidean = self.folded.graph.distance_matrix()
-        return self._euclidean
+        with self._lock:
+            if self._euclidean is None:
+                self._euclidean = self.folded.graph.distance_matrix()
+            return self._euclidean
 
     def metric(self, name: str) -> np.ndarray:
         if name == "geodesic":
@@ -550,35 +558,41 @@ def _ratio_stats_over_times(
     pairs: np.ndarray,
     pos: np.ndarray,
 ):
-    """Global min/max of folded/denominator and the largest
-    denominator - folded over (t, all folded pairs), streamed per t, with the
-    plot samples at ``pairs``."""
+    """Global min/max of folded/denominator over (t, all folded pairs),
+    streamed per t, with the plot samples at ``pairs``; for the ``free``
+    denominator also the largest free - folded (-inf for ``flat``).
+
+    The flat level is one scalar, and max(x, CLAMP) / level grows with x, so
+    the extremes of a flat pass are those of the folded block, clamped and
+    divided: the same bits as the ratio block they stand for."""
+    if denominator not in ("free", "flat"):
+        raise BoundError(denominator)
     gmin, gmax, gap = np.inf, -np.inf, -np.inf
     samples: list[tuple] = []
-    lmd = float(study.system.L) ** (study.M * study.system.hausdorff_dim)
+    level = 1.0 / float(study.system.L) ** (study.M * study.system.hausdorff_dim)
     for t in times:
         num = study.folded_matrix(t, spec)
-        if denominator == "free":
+        num_at = num.ravel()[pos]
+        if denominator == "flat":
+            den_at = np.full(len(pos), level)
+            scale = max(level, CLAMP)
+            gmin = min(gmin, max(float(num.min()), CLAMP) / scale)
+            gmax = max(gmax, max(float(num.max()), CLAMP) / scale)
+            ratio_at = np.maximum(num_at, CLAMP) / scale
+        else:
             den = study.free_matrix(t, spec)
             den_at = den.ravel()[pos]
-        elif denominator == "flat":
-            den = 1.0 / lmd
-            den_at = np.full(len(pos), den)
-        else:
-            raise BoundError(denominator)
-        gap = max(gap, float((den - num).max()))
-        num_at = num.ravel()[pos]
-        # clamp in place; the ratio overwrites the folded block
-        ratio = np.maximum(num, CLAMP, out=num)
-        if denominator == "free":
+            gap = max(gap, float((den - num).max()))
+            # clamp in place; the ratio overwrites the folded block
+            ratio = np.maximum(num, CLAMP, out=num)
             ratio /= np.maximum(den, CLAMP, out=den)
-        else:
-            ratio /= max(den, CLAMP)
-        gmin = min(gmin, float(ratio.min()))
-        gmax = max(gmax, float(ratio.max()))
-        samples += _samples(t, pairs, num_at, den_at, ratio.ravel()[pos])
+            gmin = min(gmin, float(ratio.min()))
+            gmax = max(gmax, float(ratio.max()))
+            ratio_at = ratio.ravel()[pos]
+            del den, ratio
+        samples += _samples(t, pairs, num_at, den_at, ratio_at)
         # free this time's blocks before the next time's are computed
-        del num, den, ratio
+        del num
     return gmin, gmax, gap, samples
 
 

@@ -4,8 +4,10 @@ Subcommands: validate-fractal, build-kernel, subordinate, verify-bounds,
 report.  Exit codes: 0 all claims pass, 1 a claim failed, 2 configuration or
 runtime error.
 
-BLAS thread pools are pinned to one thread before numpy loads so that runs
-are bit-identical whatever the core count.
+BLAS thread pools are pinned to one thread before numpy loads.  The verify
+stage runs its bound-report jobs on up to one thread per CPU the process may
+run on; every job computes the same bytes on any thread, so runs are
+bit-identical whatever the core count.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import threading
 import zipfile
 from dataclasses import dataclass
 
@@ -429,11 +430,15 @@ def spectral_decompose(gen: Generator) -> SpectralKernel:
 
 
 class KernelCache:
-    """Memoizes eigendecompositions by (system, M, depth, boundary)."""
+    """Memoizes eigendecompositions by (system, M, depth, boundary).
+
+    ``kernel`` holds one lock while it looks up, loads or decomposes, so
+    threads asking for one key get one decomposition and the same object."""
 
     def __init__(self, directory=None):
         self._memory: dict[str, SpectralKernel] = {}
         self._graphs: dict[str, VertexGraph] = {}
+        self._lock = threading.Lock()
         self.directory = directory
 
     def _key(self, system: FractalSystem, M: int, depth: int, bc: str) -> str:
@@ -450,21 +455,22 @@ class KernelCache:
         self, system: FractalSystem, M: int, depth: int, bc: str = "neumann"
     ) -> SpectralKernel:
         key = self._key(system, M, depth, bc)
-        if key in self._memory:
-            return self._memory[key]
-        graph = self.graph(system, M, depth)
-        kern = self._load(key)
-        if kern is None or kern.n != graph.n_vertices:
-            if bc == "neumann":
-                kern = spectral_decompose(build_generator(graph))
-            elif bc == "dirichlet":
-                kern = _dirichlet_kernel(graph)
-            else:
-                raise KernelError(f"unknown boundary condition {bc!r}")
-            self._store(key, kern)
-        kern.graph = graph
-        self._memory[key] = kern
-        return kern
+        with self._lock:
+            if key in self._memory:
+                return self._memory[key]
+            graph = self.graph(system, M, depth)
+            kern = self._load(key)
+            if kern is None or kern.n != graph.n_vertices:
+                if bc == "neumann":
+                    kern = spectral_decompose(build_generator(graph))
+                elif bc == "dirichlet":
+                    kern = _dirichlet_kernel(graph)
+                else:
+                    raise KernelError(f"unknown boundary condition {bc!r}")
+                self._store(key, kern)
+            kern.graph = graph
+            self._memory[key] = kern
+            return kern
 
     def _path(self, key: str):
         if self.directory is None:
@@ -503,13 +509,13 @@ class KernelCache:
 
     def _store(self, key: str, kern: SpectralKernel) -> None:
         """Write the entry uncompressed (deflate costs far more time than the
-        ~10 % of bytes it saves) to a temp file, then rename it into place,
-        so readers see a whole entry or none.  No fsync: an entry torn by a
+        ~10 % of bytes it saves) to a temp file named by process and thread,
+        then rename it into place, so readers see a whole entry or none.  No fsync: an entry torn by a
         power loss fails the checked load and is rebuilt."""
         path = self._path(key)
         if path is None:
             return
-        tmp = path.with_name(f".eig-{key}.{os.getpid()}.tmp")
+        tmp = path.with_name(f".eig-{key}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             with open(tmp, "wb") as fh:
                 np.savez(

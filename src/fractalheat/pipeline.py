@@ -5,15 +5,20 @@ verification and writes tables (CSV), reports (JSON), plot data plus a
 gnuplot script, and a manifest with per-stage timings and a checksummed file
 inventory.  All numeric output is formatted with 17 significant digits and
 written in deterministic order, so identical configs reproduce identical
-bytes, whether the eigen cache was cold or warm.
+bytes, whether the eigen cache was cold or warm and whatever the core count:
+the verify stage runs its report jobs on threads, but each job computes the
+same bytes on any thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -187,26 +192,53 @@ def _collect_plot_rows(study: ReflectionStudy, report: BoundReport, metric: str)
     return [(t, float(dist[i, j]), k, f, q) for t, i, j, k, f, q in report.samples]
 
 
-def _bound_reports(studies, spec, cfg: RunConfig) -> list[dict[str, BoundReport]]:
-    """One subordinator's bound reports at each study's depth."""
+def _bound_reports(study: ReflectionStudy, spec, cfg: RunConfig) -> dict[str, BoundReport]:
+    """One subordinator's bound reports at one study's depth."""
     common = dict(
         n_times=cfg.n_times, t_min=cfg.t_min, flat_span=cfg.flat_span,
         spread_threshold=cfg.spread_threshold, seed=cfg.seed,
     )
     if spec.kind == "stable":
-        return [
-            stable_comparison_reports(
-                study, spec.alpha, bracket_tol=cfg.bracket_tol, **common
-            )
-            for study in studies
-        ]
-    return [
-        relativistic_comparison_reports(
-            study, spec.alpha, spec.m, domination_tol=cfg.domination_tol,
-            metric=cfg.metric, **common,
+        return stable_comparison_reports(
+            study, spec.alpha, bracket_tol=cfg.bracket_tol, **common
         )
-        for study in studies
-    ]
+    return relativistic_comparison_reports(
+        study, spec.alpha, spec.m, domination_tol=cfg.domination_tol,
+        metric=cfg.metric, **common,
+    )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs, longest_first) -> list:
+    """The results of the zero-argument ``jobs``, in their order.
+
+    The calling thread runs the first job of ``longest_first`` (an order of
+    the job indices) and at most one worker thread per further usable CPU
+    runs the rest, in that order; with one CPU the jobs run one after the
+    other in the calling thread.  The first exception in job order is
+    re-raised once every job has ended.  The GEMMs release the GIL, so the
+    jobs overlap; BLAS stays at one thread per call, so a job computes the
+    same bytes on any thread.
+    """
+    workers = min(_usable_cpus() - 1, len(jobs) - 1)
+    if workers < 1:
+        return [job() for job in jobs]
+    head, *rest = longest_first
+    with ThreadPoolExecutor(workers) as pool:
+        futures = {k: pool.submit(jobs[k]) for k in rest}
+        futures[head] = own = Future()
+        try:
+            own.set_result(jobs[head]())
+        except Exception as exc:
+            own.set_exception(exc)
+    return [futures[k].result() for k in range(len(jobs))]
 
 
 def _stage_verify(state: PipelineState) -> None:
@@ -215,10 +247,26 @@ def _stage_verify(state: PipelineState) -> None:
         ReflectionStudy.build(cfg.system, cfg.M, depth, cfg.window, state.cache)
         for depth in (cfg.n, cfg.n - 1)
     )
+    tasks = [(spec, study) for spec in cfg.subordinators for study in (fine, coarse)]
+    # the stable jobs read the killed kernels: built here, before the jobs,
+    # a cold run's decompositions neither overlap a relativistic job nor
+    # leave their transients in a worker thread's malloc arena
+    if any(spec.kind == "stable" for spec in cfg.subordinators):
+        for study in (fine, coarse):
+            study.dirichlet()
+    # the fine graph is the larger, and a relativistic job makes 4 passes
+    # over it where a stable one makes 2
+    longest_first = sorted(
+        range(len(tasks)),
+        key=lambda k: (tasks[k][1] is not fine, tasks[k][0].kind != "relativistic"),
+    )
+    reports = _run_jobs(
+        [partial(_bound_reports, study, spec, cfg) for spec, study in tasks], longest_first
+    )
     all_reports: dict[str, dict] = {}
     passed = True
-    for spec in cfg.subordinators:
-        fine_reports, coarse_reports = _bound_reports((fine, coarse), spec, cfg)
+    for k, spec in enumerate(cfg.subordinators):
+        fine_reports, coarse_reports = reports[2 * k], reports[2 * k + 1]
         for name, rep in fine_reports.items():
             stab = refinement_stability(coarse_reports[name], rep)
             entry = rep.to_dict()

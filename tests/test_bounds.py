@@ -327,6 +327,47 @@ class TestRegimeReports:
         assert len(calls) == 5 * k
 
 
+def _full_block_flat(study, spec, times, seed):
+    """Reference: the flat ratio over every pair of a full clamped block per
+    time, with its plot samples read out of that block."""
+    n = len(study.sub_indices)
+    pairs = np.random.default_rng(seed).integers(0, n, size=(min(50, n), 2))
+    level = 1.0 / float(study.system.L) ** (study.M * study.system.hausdorff_dim)
+    gmin, gmax, samples = np.inf, -np.inf, []
+    for t in times:
+        block = study.folded_matrix(t, spec)
+        ratio = np.maximum(block, CLAMP) / max(level, CLAMP)
+        gmin = min(gmin, float(ratio.min()))
+        gmax = max(gmax, float(ratio.max()))
+        samples += [
+            (float(t), int(i), int(j), float(block[i, j]), level, float(ratio[i, j]))
+            for i, j in pairs
+        ]
+    return gmin, gmax, samples
+
+
+class TestFlatReports:
+    @pytest.mark.parametrize("M", [0, 1])
+    @pytest.mark.parametrize("kind", ["stable", "relativistic"])
+    def test_match_full_block_ratio_exactly(self, gasket, cache, M, kind):
+        study = ReflectionStudy.build(gasket, M=M, depth=3, window=M + 1, cache=cache)
+        if kind == "stable":
+            spec = SubordinatorSpec("stable", 0.5)
+            crossover = float(gasket.L) ** (0.5 * M * gasket.walk_dim)
+            flat = stable_comparison_reports(study, 0.5, n_times=5, flat_span=7.0, seed=4)
+        else:
+            spec = SubordinatorSpec("relativistic", 0.5, 1.0)
+            crossover = float(gasket.L) ** (M * gasket.walk_dim)
+            flat = relativistic_comparison_reports(
+                study, 0.5, 1.0, n_times=5, flat_span=7.0, seed=4
+            )
+        flat = flat["flat"]
+        expected = _full_block_flat(
+            study, spec, log_time_grid(crossover, 7.0 * crossover, 5), seed=4
+        )
+        assert (flat.min_ratio, flat.max_ratio, flat.samples) == expected
+
+
 class TestSandwich:
     def test_bounds_and_corner_equalities(self, gasket):
         report = sandwich_check_f(gasket, 0.5, 2.0, 1.0, M=1)

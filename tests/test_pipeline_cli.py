@@ -5,6 +5,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import zipfile
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from fractalheat import kernels, pipeline
 from fractalheat.bounds import PLOT_PAIRS, ReflectionStudy
 from fractalheat.cli import _BLAS_VARS
 from fractalheat.config import load_run_config
-from fractalheat.kernels import KernelCache
+from fractalheat.kernels import KernelCache, KernelError
 from fractalheat.pipeline import emit_plot_data, run_pipeline
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -84,10 +86,18 @@ class TestPipeline:
         assert _tracked_files(cfg_a.out_dir) == _tracked_files(cfg_b.out_dir)
 
     def test_failure_removes_partial_outputs(self, tmp_path):
-        # an impossible truncation bracket aborts the verify stage
+        # an impossible truncation bracket aborts the verify stage; both
+        # stable jobs fail, and the error is the fine one's, the first in
+        # serial job order, whichever thread ran it
         cfg = load_run_config(_quick_config(tmp_path, bracket_tol="1e-6"))
-        with pytest.raises(Exception):
+        threads = threading.active_count()
+        with pytest.raises(KernelError) as err:
             run_pipeline(cfg)
+        assert str(err.value) == (
+            "free-kernel truncation bracket 0.754 exceeds 1e-06; "
+            "increase the window level beyond 1"
+        )
+        assert threading.active_count() == threads
         leftovers = [
             p for p in cfg.out_dir.rglob("*")
             if p.is_file() and "cache" not in p.parts
@@ -269,6 +279,66 @@ class TestEigenCache:
         assert len(decomposed) == 1
 
 
+    def test_two_threads_get_one_decomposition(self, gasket, tmp_path, monkeypatch):
+        # both threads ask for one key of an empty directory cache at once
+        decomposed = self._count_decompositions(monkeypatch)
+        decompose = kernels.spectral_decompose
+        # a slow decomposition, so the second thread asks while it runs
+        monkeypatch.setattr(
+            kernels, "spectral_decompose", lambda gen: time.sleep(0.2) or decompose(gen)
+        )
+        cache = KernelCache(directory=tmp_path)
+        start = threading.Barrier(2)
+        got = []
+
+        def ask():
+            start.wait()
+            got.append(cache.kernel(gasket, 1, 2))
+
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(decomposed) == 1
+        assert len(got) == 2 and got[0] is got[1]
+        key = cache._key(gasket, 1, 2, "neumann")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / f"eig-{key}.npz"]
+        stored = KernelCache(directory=tmp_path)._load(key)
+        assert np.array_equal(stored.psi, got[0].psi)
+        assert np.array_equal(stored.eigenvalues, got[0].eigenvalues)
+
+
+class TestRunJobs:
+    def test_results_in_job_order(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+        jobs = [lambda k=k: (k, threading.get_ident()) for k in range(5)]
+        results = pipeline._run_jobs(jobs, [3, 0, 4, 1, 2])
+        assert [k for k, _ in results] == list(range(5))
+        assert results[3][1] == threading.get_ident()  # the longest in this thread
+
+    def test_first_failure_in_job_order_is_raised(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        threads = threading.active_count()
+
+        def fail(message, delay):
+            time.sleep(delay)
+            raise KernelError(message)
+
+        # job 1 fails first in time, job 0 first in job order
+        jobs = [lambda: fail("first", 0.2), lambda: fail("second", 0.0), lambda: 2]
+        with pytest.raises(KernelError, match="^first$"):
+            pipeline._run_jobs(jobs, [1, 0, 2])
+        assert threading.active_count() == threads
+
+    def test_one_cpu_runs_serially_in_this_thread(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        ran = []
+        jobs = [lambda k=k: ran.append(k) or threading.get_ident() for k in range(3)]
+        assert pipeline._run_jobs(jobs, [2, 1, 0]) == [threading.get_ident()] * 3
+        assert ran == [0, 1, 2]
+
+
 class TestEmitPlotData:
     def test_empty_reports_empty_list(self, tmp_path):
         assert emit_plot_data({}, tmp_path / "plots") == []
@@ -310,6 +380,32 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "1"
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity"
+    )
+    def test_report_bytes_do_not_depend_on_the_core_count(self, tmp_path):
+        # one report in a child pinned to one CPU (serial verify jobs), one
+        # on every CPU this process may use
+        script = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from fractalheat import cli\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        config = _quick_config(tmp_path)
+        inventories = {}
+        for cpus in ("one", "all"):
+            out = tmp_path / cpus
+            proc = subprocess.run(
+                [sys.executable, "-c", script, cpus, "report", "--config", str(config),
+                 "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            inventories[cpus] = json.loads((out / "manifest.json").read_text())["inventory"]
+        assert inventories["one"] == inventories["all"]
 
     def test_runs_do_not_import_unused_scipy_subpackages(self, tmp_path):
         # neither the imports nor a cold report load scipy.integrate or
