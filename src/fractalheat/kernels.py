@@ -510,8 +510,9 @@ class KernelCache:
     def _store(self, key: str, kern: SpectralKernel) -> None:
         """Write the entry uncompressed (deflate costs far more time than the
         ~10 % of bytes it saves) to a temp file named by process and thread,
-        then rename it into place, so readers see a whole entry or none.  No fsync: an entry torn by a
-        power loss fails the checked load and is rebuilt."""
+        then rename it into place, so readers see a whole entry or none.  No
+        fsync: an entry torn by a power loss fails the checked load and is
+        rebuilt."""
         path = self._path(key)
         if path is None:
             return

@@ -223,9 +223,9 @@ def _run_jobs(jobs, longest_first) -> list:
     the job indices) and at most one worker thread per further usable CPU
     runs the rest, in that order; with one CPU the jobs run one after the
     other in the calling thread.  The first exception in job order is
-    re-raised once every job has ended.  The GEMMs release the GIL, so the
-    jobs overlap; BLAS stays at one thread per call, so a job computes the
-    same bytes on any thread.
+    re-raised, with workers once every job has ended.  The GEMMs release the
+    GIL, so the jobs overlap; BLAS stays at one thread per call, so a job
+    computes the same bytes on any thread.
     """
     workers = min(_usable_cpus() - 1, len(jobs) - 1)
     if workers < 1:
