@@ -69,7 +69,6 @@ _EXPORTS = {
         "ReflectionStudy",
         "SandwichReport",
         "classify_regime",
-        "fit_envelope_constants",
         "form_for",
         "refinement_stability",
         "relativistic_comparison_reports",

@@ -7,17 +7,16 @@ sits in an exponent, and report the min/max ratio.  A claim passes when the
 ratio spread is finite, below a declared threshold, and stable under grid
 refinement.
 
-Two fitting conventions coexist: a least-squares decay slope (reported as
-``fit_slope`` with its r^2) and a minimax constant that minimizes the ratio
-spread, which is what a best two-sided sandwich constant means; the ratio
-statistics use the latter.
+Each regime constant is fitted once, on a seeded subsample: the reports
+carry the minimax constant, which minimizes the ratio spread and so is what
+a best two-sided sandwich constant means, and the least-squares decay slope
+with its r^2 (``fit_slope``, ``fit_r2``).  The ratio statistics use the
+minimax constant.
 
-Distances in the regime forms default to the intrinsic (shortest-path)
-metric of the fractal, computed exactly on the graph.  On the gasket the
-intrinsic and Euclidean metrics differ by a factor up to 2 across holes,
-which alone inflates Euclidean-metric ratio spreads of jump-kernel shapes by
-``2^(d + alpha d_w)``; the Euclidean variant remains available via
-``metric='euclidean'``.
+Distances in the regime forms are the intrinsic (shortest-path) metric of
+the fractal, computed exactly on the graph.  On the gasket the Euclidean
+metric is smaller by up to a factor 2 across holes, which would alone
+inflate the ratio spreads of jump-kernel shapes by ``2^(d + alpha d_w)``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import FractalSystem
-from .kernels import KernelCache, KernelError, SpectralKernel, default_cache
+from .kernels import KernelCache, KernelError, SpectralKernel
 from .subordinators import SubordinatorSpec
 
 CLAMP = 1e-14  # ratio statistics only; raw kernel values are never clamped
@@ -42,12 +41,7 @@ class BoundError(ValueError):
     pass
 
 
-class EmptyRegimeError(BoundError):
-    """No grid points fall inside the requested regime."""
-
-
 FORM_KINDS = (
-    "subgaussian",
     "f_env",
     "h_env",
     "stable_form",
@@ -92,7 +86,7 @@ class EnvelopeForm:
         """The shape with the exponential factor removed."""
         t = np.asarray(t, dtype=float)
         k = self.kind
-        if k in ("subgaussian", "f_env", "relativistic_regime_1"):
+        if k in ("f_env", "relativistic_regime_1"):
             return t ** (-self.d / self.d_w)
         if k == "relativistic_regime_2":
             return t
@@ -112,7 +106,7 @@ class EnvelopeForm:
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
         k = self.kind
-        if k in ("subgaussian", "f_env"):
+        if k == "f_env":
             return (r / t ** (1.0 / self.d_w)) ** (self.d_w / (self.d_J - 1.0))
         if k == "relativistic_regime_1":
             chem = np.where(r > 0, r, 0.0) ** (self.d_w / self.d_J)
@@ -200,7 +194,6 @@ class BoundReport:
     max_ratio: float
     threshold: float
     fitted_c: float | None = None
-    fit_r2: float | None = None
     extras: dict = field(default_factory=dict)
     # (t, i, j, kernel, form, ratio) at seeded folded-graph pairs (i, j); the
     # ratio is the clamped value the min/max above runs over
@@ -231,13 +224,20 @@ class BoundReport:
         }
         if self.fitted_c is not None:
             out["sandwich_c"] = self.fitted_c
-        if self.fit_r2 is not None:
-            out["fit_r2"] = self.fit_r2
-        extras = dict(self.extras)
-        if "fit_slope_lsq" in extras:
-            out["fit_slope"] = extras.pop("fit_slope_lsq")
-        out.update(extras)
+        out.update(self.extras)
         return out
+
+
+def _decay_fit(
+    kernel: np.ndarray, ts: np.ndarray, rs: np.ndarray, form: EnvelopeForm
+) -> tuple[float, float, float]:
+    """(minimax constant, least-squares slope, r^2) of the decay constant of
+    ``form`` against the kernel values at (t, r): both fit
+    y = -log(max(v, CLAMP) / prefactor) against the decay argument."""
+    x = form.decay_argument(ts, rs)
+    y = -np.log(np.maximum(kernel, CLAMP) / form.prefactor(ts))
+    slope, r2 = _lsq_decay_fit(y, x)
+    return _minimax_decay_constant(y, x), slope, r2
 
 
 def _lsq_decay_fit(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -328,54 +328,6 @@ def _bounded_minimum(f, a: float, b: float, xatol: float, maxfun: int = 500) -> 
     return xf
 
 
-def fit_envelope_constants(
-    kernel_values: np.ndarray,
-    t_values: np.ndarray,
-    r_values: np.ndarray,
-    form: EnvelopeForm,
-    claim: str = "",
-    threshold: float = 10.0,
-    clamp: float = CLAMP,
-) -> BoundReport:
-    """Ratio statistics of kernel against form on a shared grid.
-
-    For shapes with an exponential factor the decay constant is fitted twice:
-    a least-squares slope (reported, with fit quality) and a minimax constant
-    giving the tightest sandwich; the ratio statistics use the minimax form.
-    """
-    kern = np.asarray(kernel_values, dtype=float).ravel()
-    ts = np.asarray(t_values, dtype=float).ravel()
-    rs = np.asarray(r_values, dtype=float).ravel()
-    if kern.size == 0:
-        raise EmptyRegimeError(f"empty grid for claim {claim!r}")
-    if not (kern.size == ts.size == rs.size):
-        raise BoundError("kernel, t, r grids must align")
-    fitted_c = None
-    slope = None
-    r2 = None
-    use_form = form
-    if form.kind not in ("stable_form", "relativistic_regime_3", "flat"):
-        x = form.decay_argument(ts, rs)
-        y = -np.log(np.maximum(kern, clamp) / form.prefactor(ts))
-        slope, r2 = _lsq_decay_fit(y, x)
-        fitted_c = _minimax_decay_constant(y, x)
-        if fitted_c > 0:
-            use_form = form.with_constant(fitted_c)
-    ratios = np.maximum(kern, clamp) / use_form.evaluate(ts, rs)
-    extras = {} if slope is None else {"fit_slope_lsq": slope}
-    return BoundReport(
-        claim=claim,
-        regime=form.kind,
-        grid=f"{kern.size} samples",
-        min_ratio=float(ratios.min()),
-        max_ratio=float(ratios.max()),
-        threshold=threshold,
-        fitted_c=fitted_c,
-        fit_r2=r2,
-        extras=extras,
-    )
-
-
 def refinement_stability(coarse: BoundReport, fine: BoundReport) -> float:
     """Relative change of the fitted spread under grid refinement."""
     return abs(fine.spread - coarse.spread) / coarse.spread
@@ -394,7 +346,7 @@ class ReflectionStudy:
     window walk killed at the outer corners dominates from below, so the pair
     brackets the truncation error.
 
-    Report jobs on several threads may share a study: each distance matrix
+    Report jobs on several threads may share a study: the distance matrix
     is built once, under the study's lock, and the killed kernel comes from
     the cache, whose lock builds it once.
     """
@@ -406,24 +358,15 @@ class ReflectionStudy:
     folded: SpectralKernel
     window_kernel: SpectralKernel
     sub_indices: np.ndarray  # positions of folded-graph points in window graph
+    cache: KernelCache
     _dirichlet: SpectralKernel | None = None
     _geodesic: np.ndarray | None = None
-    _euclidean: np.ndarray | None = None
-    cache: KernelCache | None = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @classmethod
     def build(
-        cls,
-        system: FractalSystem,
-        M: int,
-        depth: int,
-        window: int | None = None,
-        cache: KernelCache | None = None,
+        cls, system: FractalSystem, M: int, depth: int, window: int, cache: KernelCache
     ) -> "ReflectionStudy":
-        cache = cache or default_cache()
-        if window is None:
-            window = M + 1
         if window <= M:
             raise BoundError("window level must exceed M")
         folded = cache.kernel(system, M, depth)
@@ -444,8 +387,7 @@ class ReflectionStudy:
 
     def dirichlet(self) -> SpectralKernel:
         if self._dirichlet is None:
-            cache = self.cache or default_cache()
-            self._dirichlet = cache.kernel(self.system, self.window, self.depth, "dirichlet")
+            self._dirichlet = self.cache.kernel(self.system, self.window, self.depth, "dirichlet")
         return self._dirichlet
 
     def geodesic_distances(self) -> np.ndarray:
@@ -458,20 +400,6 @@ class ReflectionStudy:
                 hops = shortest_path(self.folded.graph.adjacency, method="D", unweighted=True)
                 self._geodesic = hops * float(self.system.L) ** (-self.depth)
             return self._geodesic
-
-    def euclidean_distances(self) -> np.ndarray:
-        """Euclidean pair distances on the folded graph."""
-        with self._lock:
-            if self._euclidean is None:
-                self._euclidean = self.folded.graph.distance_matrix()
-            return self._euclidean
-
-    def metric(self, name: str) -> np.ndarray:
-        if name == "geodesic":
-            return self.geodesic_distances()
-        if name == "euclidean":
-            return self.euclidean_distances()
-        raise BoundError(f"unknown metric {name!r}")
 
     def folded_matrix(self, t: float, spec: SubordinatorSpec | None = None):
         expo = spec.laplace_exponent if spec else None
@@ -550,50 +478,64 @@ def _samples(t, pairs, kernel, form, ratio) -> list[tuple]:
     ]
 
 
-def _ratio_stats_over_times(
-    study: ReflectionStudy,
-    spec: SubordinatorSpec | None,
-    times,
-    denominator: str,
-    pairs: np.ndarray,
-    pos: np.ndarray,
-):
-    """Global min/max of folded/denominator over (t, all folded pairs),
-    streamed per t, with the plot samples at ``pairs``; for the ``free``
-    denominator also the largest free - folded (-inf for ``flat``).
+def _flat_pass(study: ReflectionStudy, spec: SubordinatorSpec, times, pairs, pos):
+    """Global min/max of max(folded, CLAMP) / level over (t, all folded
+    pairs), streamed per t, with the plot samples at ``pairs``.
 
     The flat level is one scalar, and max(x, CLAMP) / level grows with x, so
-    the extremes of a flat pass are those of the folded block, clamped and
-    divided: the same bits as the ratio block they stand for."""
-    if denominator not in ("free", "flat"):
-        raise BoundError(denominator)
-    gmin, gmax, gap = np.inf, -np.inf, -np.inf
-    samples: list[tuple] = []
+    the extremes are those of the folded block, clamped and divided: the
+    same bits as the ratio block they stand for."""
     level = 1.0 / float(study.system.L) ** (study.M * study.system.hausdorff_dim)
+    scale = max(level, CLAMP)
+    gmin, gmax, samples = np.inf, -np.inf, []
     for t in times:
         num = study.folded_matrix(t, spec)
+        gmin = min(gmin, max(float(num.min()), CLAMP) / scale)
+        gmax = max(gmax, max(float(num.max()), CLAMP) / scale)
         num_at = num.ravel()[pos]
-        if denominator == "flat":
-            den_at = np.full(len(pos), level)
-            scale = max(level, CLAMP)
-            gmin = min(gmin, max(float(num.min()), CLAMP) / scale)
-            gmax = max(gmax, max(float(num.max()), CLAMP) / scale)
-            ratio_at = np.maximum(num_at, CLAMP) / scale
-        else:
-            den = study.free_matrix(t, spec)
-            den_at = den.ravel()[pos]
-            gap = max(gap, float((den - num).max()))
-            # clamp in place; the ratio overwrites the folded block
-            ratio = np.maximum(num, CLAMP, out=num)
-            ratio /= np.maximum(den, CLAMP, out=den)
-            gmin = min(gmin, float(ratio.min()))
-            gmax = max(gmax, float(ratio.max()))
-            ratio_at = ratio.ravel()[pos]
-            del den, ratio
+        samples += _samples(
+            t, pairs, num_at, np.full(len(pos), level), np.maximum(num_at, CLAMP) / scale
+        )
+        # free this time's block before the next time's is computed
+        del num
+    return gmin, gmax, samples
+
+
+def _near_pass(study: ReflectionStudy, spec: SubordinatorSpec, times, pairs, pos):
+    """Global min/max of max(folded, CLAMP) / max(free, CLAMP) over (t, all
+    folded pairs), streamed per t, with the plot samples at ``pairs``."""
+    gmin, gmax, samples = np.inf, -np.inf, []
+    for t in times:
+        num = study.folded_matrix(t, spec)
+        den = study.free_matrix(t, spec)
+        num_at, den_at = num.ravel()[pos], den.ravel()[pos]
+        # clamp in place; the ratio overwrites the folded block
+        ratio = np.maximum(num, CLAMP, out=num)
+        ratio /= np.maximum(den, CLAMP, out=den)
+        gmin = min(gmin, float(ratio.min()))
+        gmax = max(gmax, float(ratio.max()))
+        samples += _samples(t, pairs, num_at, den_at, ratio.ravel()[pos])
+        # free this time's blocks before the next time's are computed
+        del num, den, ratio
+    return gmin, gmax, samples
+
+
+def _domination_pass(study: ReflectionStudy, spec: SubordinatorSpec, times, pairs, pos):
+    """Largest free - folded over (t, all folded pairs), streamed per t, with
+    the plot samples at ``pairs``.  Only the samples' ratios are clamped and
+    divided; elementwise, they are the bits of the full ratio block."""
+    gap, samples = -np.inf, []
+    for t in times:
+        num = study.folded_matrix(t, spec)
+        den = study.free_matrix(t, spec)
+        num_at, den_at = num.ravel()[pos], den.ravel()[pos]
+        # the difference overwrites the free block
+        gap = max(gap, float(np.subtract(den, num, out=den).max()))
+        ratio_at = np.maximum(num_at, CLAMP) / np.maximum(den_at, CLAMP)
         samples += _samples(t, pairs, num_at, den_at, ratio_at)
         # free this time's blocks before the next time's are computed
-        del num
-    return gmin, gmax, gap, samples
+        del num, den
+    return gap, samples
 
 
 def stable_comparison_reports(
@@ -630,9 +572,7 @@ def stable_comparison_reports(
             f"increase the window level beyond {study.window}"
         )
 
-    near_min, near_max, _, near_samples = _ratio_stats_over_times(
-        study, spec, near_times, "free", pairs, pos
-    )
+    near_min, near_max, near_samples = _near_pass(study, spec, near_times, pairs, pos)
     near = BoundReport(
         claim=f"stable-near[alpha={alpha:g},M={study.M},n={study.depth}]",
         regime="near",
@@ -643,9 +583,7 @@ def stable_comparison_reports(
         extras={"truncation_bracket": bracket, "crossover": crossover},
         samples=near_samples,
     )
-    flat_min, flat_max, _, flat_samples = _ratio_stats_over_times(
-        study, spec, flat_times, "flat", pairs, pos
-    )
+    flat_min, flat_max, flat_samples = _flat_pass(study, spec, flat_times, pairs, pos)
     flat = BoundReport(
         claim=f"stable-flat[alpha={alpha:g},M={study.M},n={study.depth}]",
         regime="flat",
@@ -669,14 +607,13 @@ def relativistic_comparison_reports(
     spread_threshold: float = 10.0,
     domination_tol: float = 1e-8,
     fit_sample: int = 60000,
-    metric: str = "geodesic",
     seed: int = 0,
 ) -> dict[str, BoundReport]:
     """Flat-regime spread, pointwise lower domination, and the three
     sub-crossover regime forms for the relativistic reflected kernel.
 
-    Regime forms are evaluated in the intrinsic metric by default (see the
-    module docstring).  Each regime time grid computes one folded block per
+    Regime forms are evaluated in the intrinsic metric (see the module
+    docstring).  Each regime time grid computes one folded block per
     time (regimes 2 and 3 share theirs) and keeps the kernel min and max at
     each pair distance, a seeded subsample on which the minimax sandwich
     constant is fitted, and the plot-pair values.  The reported spread is
@@ -691,9 +628,7 @@ def relativistic_comparison_reports(
     pairs, pos = _plot_pairs(n_pairs, seed)
 
     flat_times = log_time_grid(crossover, crossover * flat_span, n_times)
-    flat_min, flat_max, _, flat_samples = _ratio_stats_over_times(
-        study, spec, flat_times, "flat", pairs, pos
-    )
+    flat_min, flat_max, flat_samples = _flat_pass(study, spec, flat_times, pairs, pos)
     reports = {
         "flat": BoundReport(
             claim=f"relativistic-flat[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
@@ -709,9 +644,7 @@ def relativistic_comparison_reports(
 
     # pointwise lower domination: free <= folded + tol below the crossover
     dom_times = log_time_grid(t_min, crossover * 0.98, n_times)
-    _, _, worst_violation, dom_samples = _ratio_stats_over_times(
-        study, spec, dom_times, "free", pairs, pos
-    )
+    worst_violation, dom_samples = _domination_pass(study, spec, dom_times, pairs, pos)
     reports["domination"] = BoundReport(
         claim=f"relativistic-domination[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
         regime="domination",
@@ -723,7 +656,7 @@ def relativistic_comparison_reports(
         samples=dom_samples,
     )
 
-    dist = study.metric(metric)
+    dist = study.geodesic_distances()
     # the pairs in order of distance, so each distance level is one run
     by_level = np.argsort(dist, axis=None)
     ordered = dist.ravel()[by_level]
@@ -769,18 +702,15 @@ def relativistic_comparison_reports(
             del block, flat, grouped
         for name, kind, keep in regimes:
             form = fitted_form = form_for(system, kind, alpha=alpha, M=study.M)
-            extras: dict = {"metric": metric}
+            extras: dict = {"metric": "geodesic"}
             if name in fit_draws:
                 sel, vals = (np.concatenate(a) for a in zip(*fit_draws[name]))
                 ts = np.repeat(times, len(sel) // len(times))
-                fit = fit_envelope_constants(
-                    vals, ts, dist.ravel()[sel], form, claim=f"{name}-fit",
-                    threshold=spread_threshold,
+                c, extras["fit_slope"], extras["fit_r2"] = _decay_fit(
+                    vals, ts, dist.ravel()[sel], form
                 )
-                if fit.fitted_c is not None and fit.fitted_c > 0:
-                    fitted_form = form.with_constant(fit.fitted_c)
-                extras["fit_slope_lsq"] = fit.extras.get("fit_slope_lsq")
-                extras["fit_r2"] = fit.fit_r2
+                if c > 0:
+                    fitted_form = form.with_constant(c)
             cols = slice(None) if keep is None else keep
             r_levels = levels[cols]
             shape = fitted_form.evaluate(

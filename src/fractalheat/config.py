@@ -139,7 +139,6 @@ class RunConfig:
     stability_threshold: float = 0.5
     domination_tol: float = 1e-8
     bracket_tol: float = 0.8
-    metric: str = "geodesic"
     raw_text: str = ""
 
     def validate(self) -> None:
@@ -156,8 +155,8 @@ class RunConfig:
             raise ConfigError("thresholds must exceed 1 (spread) and 0 (stability)")
         if not self.subordinators:
             raise ConfigError("at least one subordinator spec required")
-        if self.metric not in ("geodesic", "euclidean"):
-            raise ConfigError(f"unknown metric {self.metric!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not (0 < self.t_min < SUB_UNIT_END):
             raise ConfigError(f"t_min must be in (0, {SUB_UNIT_END}), got {self.t_min}")
         for name in ("n_times", "table_pairs", "crosscheck_samples"):
@@ -169,70 +168,88 @@ class RunConfig:
             raise ConfigError(f"kernel_times must be positive, got {self.kernel_times}")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return value
+
+
+def _finites(text: str) -> tuple[float, ...]:
+    return tuple(_finite(x) for x in text.split(","))
+
+
+# (section, key, field, cast) for every key a run config may set besides
+# [run] fractal and out and [subordinators] specs; a key left out keeps the
+# RunConfig default
+_RUN_KEYS = (
+    ("run", "m", "M", int),
+    ("run", "n", "n", int),
+    ("run", "window", "window", int),
+    ("run", "seed", "seed", int),
+    ("grids", "n_times", "n_times", int),
+    ("grids", "t_min", "t_min", _finite),
+    ("grids", "flat_span", "flat_span", _finite),
+    ("grids", "kernel_times", "kernel_times", _finites),
+    ("grids", "table_pairs", "table_pairs", int),
+    ("grids", "crosscheck_samples", "crosscheck_samples", int),
+    ("thresholds", "spread", "spread_threshold", _finite),
+    ("thresholds", "stability", "stability_threshold", _finite),
+    ("thresholds", "domination_tol", "domination_tol", _finite),
+    ("thresholds", "bracket_tol", "bracket_tol", _finite),
+)
+
+
 def load_run_config(path: str | Path, out_override=None) -> RunConfig:
+    """Parse and validate a run config; malformed INI, an unknown section or
+    key, a value that does not parse and a non-finite float all raise
+    ConfigError before the fractal config is read."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"run config not found: {path}")
     text = path.read_text()
     parser = configparser.ConfigParser()
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:  # a repeated key or section, a line outside one
+        raise ConfigError(f"{path}: {exc}") from exc
     if "run" not in parser:
         raise ConfigError(f"{path}: missing [run] section")
+    known = {"run": {"fractal", "out"}, "subordinators": {"specs"}, "grids": set(),
+             "thresholds": set()}
+    for section, key, _, _ in _RUN_KEYS:
+        known[section].add(key)
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        unknown = sorted(set(parser[section]) - known[section])
+        if unknown:
+            raise ConfigError(f"{path}: unknown key {', '.join(unknown)} in [{section}]")
     run = parser["run"]
     fractal_rel = run.get("fractal")
     if fractal_rel is None:
         raise ConfigError(f"{path}: [run] must name a fractal config")
     fractal_path = (path.parent / fractal_rel).resolve()
-    system = load_fractal_config(fractal_path)
 
-    grids = parser["grids"] if "grids" in parser else {}
-    thresholds = parser["thresholds"] if "thresholds" in parser else {}
     subs_text = (
         parser["subordinators"].get("specs", "")
         if "subordinators" in parser
         else "stable:0.5"
     )
     subs = [parse_subordinator(s) for s in subs_text.split(";") if s.strip()]
-
-    def _get(section, key, cast):
-        try:
-            return cast(section[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
-
-    def _floats(text):
-        return tuple(float(x) for x in text.split(","))
-
-    # (section, key, field, cast) for every key a run config may set; a key
-    # left out keeps the RunConfig default
-    keys = (
-        (run, "m", "M", int),
-        (run, "n", "n", int),
-        (run, "window", "window", int),
-        (run, "seed", "seed", int),
-        (run, "metric", "metric", str),
-        (grids, "n_times", "n_times", int),
-        (grids, "t_min", "t_min", float),
-        (grids, "flat_span", "flat_span", float),
-        (grids, "kernel_times", "kernel_times", _floats),
-        (grids, "table_pairs", "table_pairs", int),
-        (grids, "crosscheck_samples", "crosscheck_samples", int),
-        (thresholds, "spread", "spread_threshold", float),
-        (thresholds, "stability", "stability_threshold", float),
-        (thresholds, "domination_tol", "domination_tol", float),
-        (thresholds, "bracket_tol", "bracket_tol", float),
-    )
-    settings = {
-        name: _get(section, key, cast)
-        for section, key, name, cast in keys
-        if key in section
-    }
+    settings = {}
+    for section, key, name, cast in _RUN_KEYS:
+        if section in parser and key in parser[section]:
+            try:
+                settings[name] = cast(parser[section][key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
     out = out_override or run.get("out")
     if out is not None:
         settings["out_dir"] = Path(out)
     cfg = RunConfig(
         fractal_path=fractal_path,
-        system=system,
+        system=load_fractal_config(fractal_path),
         subordinators=subs,
         raw_text=text,
         **settings,

@@ -607,10 +607,6 @@ class VertexGraph:
     def is_connected(self) -> bool:
         return self.n_vertices == 0 or bool(_reachable(self.adjacency, 0).all())
 
-    def distance_matrix(self) -> np.ndarray:
-        diff = self.coords[:, None, :] - self.coords[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
-
 
 def build_vertex_graph(system: FractalSystem, M: int, depth: int) -> VertexGraph:
     """Graph on the corners of all scale ``L^-depth`` cells of ``K<<M>>``.

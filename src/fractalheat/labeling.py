@@ -230,9 +230,7 @@ class LabelMap:
         return "\n".join(lines) + "\n"
 
 
-def build_good_labeling(
-    system: FractalSystem, M: int, window: int | None = None
-) -> LabelMap:
+def build_good_labeling(system: FractalSystem, M: int, window: int) -> LabelMap:
     """Construct a good labeling of the M-complex corners inside
     ``K<<window>>`` by breadth-first propagation from the base complex.
 
@@ -241,8 +239,6 @@ def build_good_labeling(
     Raises :class:`LabelingError` naming the offending complex if no rotation
     is consistent.
     """
-    if window is None:
-        window = M + 2
     if window <= M:
         raise LabelingError(f"window level {window} must exceed M = {M}")
     group = rotation_group(system, M)

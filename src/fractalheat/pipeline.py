@@ -186,9 +186,9 @@ def _stage_subordinate(state: PipelineState) -> None:
     _write_json(state.out("reports/subordination.json"), payload)
 
 
-def _collect_plot_rows(study: ReflectionStudy, report: BoundReport, metric: str):
+def _collect_plot_rows(study: ReflectionStudy, report: BoundReport):
     """(t, r, kernel, form, ratio) plot rows from the report's own samples."""
-    dist = study.metric(metric)
+    dist = study.geodesic_distances()
     return [(t, float(dist[i, j]), k, f, q) for t, i, j, k, f, q in report.samples]
 
 
@@ -203,8 +203,7 @@ def _bound_reports(study: ReflectionStudy, spec, cfg: RunConfig) -> dict[str, Bo
             study, spec.alpha, bracket_tol=cfg.bracket_tol, **common
         )
     return relativistic_comparison_reports(
-        study, spec.alpha, spec.m, domination_tol=cfg.domination_tol,
-        metric=cfg.metric, **common,
+        study, spec.alpha, spec.m, domination_tol=cfg.domination_tol, **common
     )
 
 
@@ -277,7 +276,7 @@ def _stage_verify(state: PipelineState) -> None:
             state.claims[spec.label(), name] = entry
             passed &= entry["pass"]
             key = f"{spec.label()}:{name}"
-            state.plot_rows[key] = _collect_plot_rows(fine, rep, cfg.metric)
+            state.plot_rows[key] = _collect_plot_rows(fine, rep)
     _write_json(state.out("reports/bounds.json"), all_reports)
     state.claims_passed = passed
 

@@ -8,11 +8,9 @@ from fractalheat.bounds import (
     CLAMP,
     SUB_UNIT_END,
     BoundError,
-    EmptyRegimeError,
     EnvelopeForm,
     ReflectionStudy,
     classify_regime,
-    fit_envelope_constants,
     form_for,
     log_time_grid,
     refinement_stability,
@@ -98,30 +96,20 @@ class TestEnvelopeFitting:
         ts = rng.uniform(0.1, 0.9, 300)
         rs = rng.uniform(1.0, 2.0, 300)
         kern = form.evaluate(ts, rs)
-        report = fit_envelope_constants(kern, ts, rs, form.with_constant(1.0))
-        assert report.spread == pytest.approx(1.0, abs=1e-4)
-        assert report.fitted_c == pytest.approx(1.3, abs=1e-3)
-        assert report.extras["fit_slope_lsq"] == pytest.approx(1.3, abs=1e-6)
-        assert report.fit_r2 == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_grid_rejected(self, gasket):
-        form = form_for(gasket, "f_env")
-        with pytest.raises(EmptyRegimeError):
-            fit_envelope_constants(np.array([]), np.array([]), np.array([]), form)
-
-    def test_misaligned_grids_rejected(self, gasket):
-        form = form_for(gasket, "f_env")
-        with pytest.raises(BoundError):
-            fit_envelope_constants(np.ones(3), np.ones(2), np.ones(3), form)
+        c, slope, r2 = bounds._decay_fit(kern, ts, rs, form.with_constant(1.0))
+        assert c == pytest.approx(1.3, abs=1e-3)
+        assert slope == pytest.approx(1.3, abs=1e-6)
+        assert r2 == pytest.approx(1.0, abs=1e-9)
+        ratio = kern / form.with_constant(c).evaluate(ts, rs)
+        assert ratio.max() / ratio.min() == pytest.approx(1.0, abs=1e-4)
 
     def test_clamp_keeps_ratios_finite(self, gasket):
-        form = form_for(gasket, "flat", M=0)
+        # zero and sub-clamp kernel values fit as CLAMP, never as -log(0)
+        form = form_for(gasket, "f_env")
         kern = np.array([0.0, 1e-20, 1.0])
-        report = fit_envelope_constants(
-            kern, np.ones(3), np.zeros(3), form, threshold=1e20
-        )
-        assert math.isfinite(report.spread)
-        assert report.min_ratio > 0
+        fit = bounds._decay_fit(kern, np.ones(3), np.array([0.5, 1.0, 0.0]), form)
+        assert all(math.isfinite(v) for v in fit)
+        assert fit[0] > 0
 
 
 class TestComparisonReports:
@@ -144,16 +132,6 @@ class TestComparisonReports:
         fine_reports = stable_comparison_reports(fine, alpha=0.5, n_times=6)
         for name in ("near", "flat"):
             assert refinement_stability(coarse_reports[name], fine_reports[name]) <= 0.5
-
-    def test_domination_matches_dense_blocks(self, gasket, study):
-        spec = SubordinatorSpec("relativistic", 0.5, 1.0)
-        reports = relativistic_comparison_reports(study, alpha=0.5, m=1.0, n_times=5)
-        crossover = float(gasket.L) ** (study.M * gasket.walk_dim)
-        expected = max(
-            float((study.free_matrix(t, spec) - study.folded_matrix(t, spec)).max())
-            for t in log_time_grid(0.1, 0.98 * crossover, 5)
-        )
-        assert reports["domination"].extras["max_violation"] == expected
 
     def test_bracket_gate_raises(self, study):
         with pytest.raises(KernelError, match="window"):
@@ -186,25 +164,17 @@ class TestComparisonReports:
             ReflectionStudy.build(gasket, M=1, depth=2, window=1, cache=cache)
 
     def test_metric_selection(self, study):
-        geo = study.metric("geodesic")
-        euc = study.metric("euclidean")
+        # on the gasket the intrinsic metric exceeds the Euclidean one by up
+        # to a factor 2 across holes
+        coords = study.folded.graph.coords
+        euc = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+        geo = study.geodesic_distances()
         ratio = geo[euc > 0] / euc[euc > 0]
         assert ratio.min() >= 1.0 - 1e-9
         assert ratio.max() <= 2.0 + 1e-9
-        with pytest.raises(BoundError):
-            study.metric("resistance")
-
-    def test_euclidean_metric_inflates_regime3(self, study):
-        geo = relativistic_comparison_reports(
-            study, alpha=0.5, m=1.0, n_times=4, metric="geodesic"
-        )["regime3"]
-        euc = relativistic_comparison_reports(
-            study, alpha=0.5, m=1.0, n_times=4, metric="euclidean"
-        )["regime3"]
-        assert euc.spread > geo.spread
 
 
-def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, metric, seed):
+def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, seed):
     """Reference: each regime fits its constant on a seeded subsample in one
     pass over its times, then evaluates the form at every pair in a second."""
     spec = SubordinatorSpec("relativistic", alpha, m)
@@ -212,13 +182,13 @@ def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, metric, seed)
     n = len(study.sub_indices)
     pairs = np.random.default_rng(seed).integers(0, n, size=(min(50, n), 2))
     pos = pairs[:, 0] * n + pairs[:, 1]
-    dist = study.metric(metric)
+    dist = study.geodesic_distances()
     rng = np.random.default_rng(seed)
     out = {}
 
     def regime(name, times, mask, kind):
         form = fitted = form_for(system, kind, alpha=alpha, M=study.M)
-        fit = None
+        slope = r2 = None
         if kind != "relativistic_regime_3":
             ts, rs, ks = [], [], []
             for t in times:
@@ -230,11 +200,11 @@ def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, metric, seed)
                 ts.append(np.full(take, t))
                 rs.append(r[sel])
                 ks.append(vals[sel])
-            fit = fit_envelope_constants(
+            c, slope, r2 = bounds._decay_fit(
                 np.concatenate(ks), np.concatenate(ts), np.concatenate(rs), form
             )
-            if fit.fitted_c is not None and fit.fitted_c > 0:
-                fitted = form.with_constant(fit.fitted_c)
+            if c > 0:
+                fitted = form.with_constant(c)
         if mask is None:
             inside, where = pairs, pos
         else:
@@ -260,8 +230,8 @@ def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, metric, seed)
             gmin,
             gmax,
             None if fitted is form else fitted.c,
-            None if fit is None else fit.extras["fit_slope_lsq"],
-            None if fit is None else fit.fit_r2,
+            slope,
+            r2,
             samples,
         )
 
@@ -277,25 +247,23 @@ def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, metric, seed)
 
 
 class TestRegimeReports:
+    # the ids name the metric of the regime forms
     @pytest.mark.parametrize(
-        "M,metric,alpha,m,fit_sample",
+        "M,alpha,m,fit_sample",
         [
-            (0, "geodesic", 0.5, 1.0, 60000),
-            (0, "euclidean", 0.5, 1.0, 2000),
-            (1, "geodesic", 0.5, 1.0, 2000),
-            (1, "euclidean", 0.5, 1.0, 60000),
-            (1, "geodesic", 0.7, 0.5, 60000),
+            pytest.param(0, 0.5, 1.0, 60000, id="0-geodesic-0.5-1.0-60000"),
+            pytest.param(0, 0.5, 1.0, 2000, id="0-geodesic-0.5-1.0-2000"),
+            pytest.param(1, 0.5, 1.0, 2000, id="1-geodesic-0.5-1.0-2000"),
+            pytest.param(1, 0.5, 1.0, 60000, id="1-geodesic-0.5-1.0-60000"),
+            pytest.param(1, 0.7, 0.5, 60000, id="1-geodesic-0.7-0.5-60000"),
         ],
     )
-    def test_match_two_pass_reference_exactly(
-        self, gasket, cache, M, metric, alpha, m, fit_sample
-    ):
+    def test_match_two_pass_reference_exactly(self, gasket, cache, M, alpha, m, fit_sample):
         study = ReflectionStudy.build(gasket, M=M, depth=3, window=M + 1, cache=cache)
         reports = relativistic_comparison_reports(
-            study, alpha, m, n_times=4, t_min=0.1, fit_sample=fit_sample,
-            metric=metric, seed=3,
+            study, alpha, m, n_times=4, t_min=0.1, fit_sample=fit_sample, seed=3
         )
-        expected = _two_pass_regimes(study, alpha, m, 4, 0.1, fit_sample, metric, 3)
+        expected = _two_pass_regimes(study, alpha, m, 4, 0.1, fit_sample, 3)
         names = [k for k in ("regime1", "regime2", "regime3") if k in reports]
         assert names == list(expected)
         assert ("regime1" in names) == (M > 0)
@@ -305,7 +273,7 @@ class TestRegimeReports:
                 rep.min_ratio,
                 rep.max_ratio,
                 rep.fitted_c,
-                rep.extras.get("fit_slope_lsq"),
+                rep.extras.get("fit_slope"),
                 rep.extras.get("fit_r2"),
                 rep.samples,
             )
@@ -366,6 +334,52 @@ class TestFlatReports:
             study, spec, log_time_grid(crossover, 7.0 * crossover, 5), seed=4
         )
         assert (flat.min_ratio, flat.max_ratio, flat.samples) == expected
+
+
+def _full_block_free(study, spec, times, seed):
+    """Reference: the folded/free ratio and the largest free - folded over
+    every pair of full clamped blocks per time, with the plot samples read
+    out of those blocks."""
+    n = len(study.sub_indices)
+    pairs = np.random.default_rng(seed).integers(0, n, size=(min(50, n), 2))
+    gmin, gmax, gap, samples = np.inf, -np.inf, -np.inf, []
+    for t in times:
+        folded = study.folded_matrix(t, spec)
+        free = study.free_matrix(t, spec)
+        gap = max(gap, float((free - folded).max()))
+        ratio = np.maximum(folded, CLAMP) / np.maximum(free, CLAMP)
+        gmin = min(gmin, float(ratio.min()))
+        gmax = max(gmax, float(ratio.max()))
+        samples += [
+            (float(t), int(i), int(j), float(folded[i, j]), float(free[i, j]),
+             float(ratio[i, j]))
+            for i, j in pairs
+        ]
+    return gmin, gmax, gap, samples
+
+
+class TestFreeReports:
+    @pytest.mark.parametrize("M", [0, 1])
+    @pytest.mark.parametrize("kind", ["stable", "relativistic"])
+    def test_match_full_block_ratio_exactly(self, gasket, cache, M, kind):
+        # stable: the near report; relativistic: the domination report
+        study = ReflectionStudy.build(gasket, M=M, depth=3, window=M + 1, cache=cache)
+        if kind == "stable":
+            spec = SubordinatorSpec("stable", 0.5)
+            crossover = float(gasket.L) ** (0.5 * M * gasket.walk_dim)
+        else:
+            spec = SubordinatorSpec("relativistic", 0.5, 1.0)
+            crossover = float(gasket.L) ** (M * gasket.walk_dim)
+        gmin, gmax, gap, samples = _full_block_free(
+            study, spec, log_time_grid(0.1, 0.98 * crossover, 5), seed=4
+        )
+        if kind == "stable":
+            near = stable_comparison_reports(study, 0.5, n_times=5, seed=4)["near"]
+            assert (near.min_ratio, near.max_ratio, near.samples) == (gmin, gmax, samples)
+        else:
+            dom = relativistic_comparison_reports(study, 0.5, 1.0, n_times=5, seed=4)
+            dom = dom["domination"]
+            assert (dom.extras["max_violation"], dom.samples) == (gap, samples)
 
 
 class TestSandwich:
@@ -448,7 +462,7 @@ def test_plot_samples_lie_in_their_report_regime(gasket, cache, M):
         "stable": stable_comparison_reports(study, alpha=alpha, n_times=6),
         "relativistic": relativistic_comparison_reports(study, alpha=alpha, m=1.0, n_times=6),
     }
-    dist = study.metric("geodesic")
+    dist = study.geodesic_distances()
     expected = {
         "stable": {"near", "flat"},
         "relativistic": {"flat", "regime2", "regime3"} | ({"regime1"} if M else set()),

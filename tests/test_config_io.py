@@ -105,7 +105,7 @@ class TestRunConfig:
             "n = 9",
             "n = 0",
             "window = 0",
-            "metric = manhattan",
+            "metric = manhattan",  # an unknown key since the metric is fixed
             "n_times = 0",
             "flat_span = 1",
             "t_min = 0.95",
@@ -115,20 +115,40 @@ class TestRunConfig:
             "table_pairs = -1",
             "crosscheck_samples = 0",
             "crosscheck_samples = -2",
+            "seed = -1",
+            "bracket_tol = nan",
+            "bracket_tol = inf",
+            "spread = nan",
+            "domination_tol = -inf",
+            "kernel_times = 0.5,nan",
+            "[grids] n_time = 99",
+            "[grid] n_times = 99",
+            "[run] n = 4",  # a repeated key
         ],
     )
     def test_validation_rejects(self, tmp_path, patch):
-        key = patch.split(" =")[0]
+        # "key = value" replaces the line setting key, or goes into [run]
+        # if no line sets it; "[section] key = value" goes into that
+        # section, which is added at the end if the file lacks it
+        section, _, setting = patch.rpartition("] ")
+        section = section.lstrip("[") or "run"
+        key = setting.split(" =")[0]
         base = (CONFIGS / "quick-run.ini").read_text()
         lines = [
-            patch if line.startswith(f"{key} =") else line
+            setting if line.startswith(f"{key} =") and patch == setting else line
             for line in base.splitlines()
         ]
+        if setting not in lines:
+            if f"[{section}]" in lines:
+                lines.insert(lines.index(f"[{section}]") + 1, setting)
+            else:
+                lines += [f"[{section}]", setting]
         bad = tmp_path / "bad.ini"
         bad.write_text("\n".join(lines).replace("fractal = gasket.ini",
                        f"fractal = {CONFIGS / 'gasket.ini'}"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as excinfo:
             load_run_config(bad)
+        assert key in str(excinfo.value) or f"[{section}]" in str(excinfo.value)
 
     def test_budget_guard(self, tmp_path):
         base = (CONFIGS / "quick-run.ini").read_text()

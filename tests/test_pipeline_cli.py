@@ -143,7 +143,7 @@ class TestPipeline:
         cache = KernelCache(directory=cfg.out_dir / "cache")
         study = ReflectionStudy.build(cfg.system, cfg.M, cfg.n, cfg.window, cache)
         n = len(study.sub_indices)
-        dist = study.metric(cfg.metric)
+        dist = study.geodesic_distances()
         in_mask = {"regime2": int((dist >= 1.0).sum()), "regime3": int((dist < 1.0).sum())}
         plots = sorted((cfg.out_dir / "plots").glob("claim_*.csv"))
         assert plots
