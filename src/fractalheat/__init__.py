@@ -11,6 +11,7 @@ _EXPORTS = {
     "exact": ("LinearMap2", "Q3", "Vec2", "parse_q3"),
     "geometry": (
         "CellAddress",
+        "Csr",
         "FractalError",
         "FractalSystem",
         "Similitude",
@@ -21,6 +22,7 @@ _EXPORTS = {
         "enumerate_cells",
         "fixed_points",
         "gasket_vertex_count",
+        "hop_distances",
         "sierpinski_gasket",
         "unit_interval_system",
         "validate_snf",

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FractalSystem
+from .geometry import FractalSystem, hop_distances
 from .kernels import KernelCache, KernelError, SpectralKernel
 from .subordinators import SubordinatorSpec
 
@@ -395,9 +395,7 @@ class ReflectionStudy:
         Euclidean length ``L^-depth``, so hop counts scale exactly."""
         with self._lock:
             if self._geodesic is None:
-                from scipy.sparse.csgraph import shortest_path
-
-                hops = shortest_path(self.folded.graph.adjacency, method="D", unweighted=True)
+                hops = hop_distances(self.folded.graph.adjacency)
                 self._geodesic = hops * float(self.system.L) ** (-self.depth)
             return self._geodesic
 

@@ -17,6 +17,9 @@ Conventions
   scale ``L^-n`` (so there are ``N**(M+n)`` of them); its vertices are the
   cell corners.  The level-``n`` graph of the unit gasket therefore has
   ``(3**(n+1) + 3) / 2`` vertices.
+* A graph's walks read its adjacency as a :class:`Csr`, compressed sparse
+  rows held in plain numpy arrays: the walks, the breadth-first searches and
+  the all-pairs hop counts (:func:`hop_distances`) run on numpy alone.
 """
 
 from __future__ import annotations
@@ -548,8 +551,8 @@ class VertexGraph:
     ``incident[k]`` counts the cells at vertex k, so the measure
     ``incident / (K N**depth)`` sums to exactly ``N**M``.  ``edges`` holds
     each edge once as ``(u, v)`` with ``u < v``, in ascending order, and
-    every walk of the graph reads the symmetric CSR ``adjacency`` built
-    from them.
+    every walk of the graph reads the symmetric :class:`Csr` ``adjacency``
+    built from them.
     """
 
     system: FractalSystem
@@ -578,15 +581,15 @@ class VertexGraph:
         return len(self.edges)
 
     @functools.cached_property
-    def adjacency(self):
-        """The n x n CSR array with a 1.0 at ``(u, v)`` and ``(v, u)`` for
-        each edge, sorted indices: row k lists the neighbours of vertex k
-        in ascending order."""
+    def adjacency(self) -> Csr:
+        """The n x n :class:`Csr` with a 1.0 at ``(u, v)`` and ``(v, u)`` for
+        each edge: row k lists the neighbours of vertex k in ascending
+        order."""
         return _symmetric_csr(self.edges, self.n_vertices)
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.adjacency.indptr).astype(np.int64)
+        return np.diff(self.adjacency.indptr)
 
     def total_mass_exact(self) -> Fraction:
         return Fraction(int(self.incident.sum()), self._mass_denom)
@@ -672,30 +675,117 @@ def _cell_edges(cells: np.ndarray, n: int) -> np.ndarray:
     return np.stack([keys // n, keys % n], axis=1)
 
 
-def _symmetric_csr(edges: np.ndarray, n: int):
-    """The symmetric n x n CSR array of ``edges`` (as :func:`_cell_edges`
-    gives them): a 1.0 at both ``(u, v)`` and ``(v, u)``, sorted indices."""
-    from scipy.sparse import csr_array  # loads on the first walk, not on import
+# ---------------------------------------------------------------------------
+# Sparse rows and walks
 
+
+@dataclass(frozen=True)
+class Csr:
+    """An n x n sparse matrix in compressed sparse rows: row k holds the
+    values ``data[indptr[k]:indptr[k+1]]`` at the columns ``indices`` in the
+    same slots, ascending, so the entries run in row-major order.  In scipy
+    it is ``csr_array((m.data, m.indices, m.indptr), shape=(m.n, m.n))``."""
+
+    indptr: np.ndarray  # n + 1 int64 offsets
+    indices: np.ndarray  # int64 column of each entry
+    data: np.ndarray
+    n: int
+
+    @classmethod
+    def from_coo(cls, rows, cols, data, n: int) -> "Csr":
+        """The matrix with ``data[k]`` at ``(rows[k], cols[k])``; positions
+        must be distinct.  One stable argsort of the row-major keys puts the
+        entries in order."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        order = np.argsort(rows * n + cols, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(indptr, cols[order], np.asarray(data)[order], n)
+
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def restrict(self, keep: np.ndarray) -> "Csr":
+        """The block on the rows and columns where the boolean ``keep`` is
+        True, renumbered in order, so the kept entries keep their order and
+        their bits (the diagonal included)."""
+        new = np.cumsum(keep) - 1  # the index of each kept vertex in the block
+        rows = self.rows()
+        inside = keep[rows] & keep[self.indices]
+        m = int(np.count_nonzero(keep))
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(new[rows[inside]], minlength=m), out=indptr[1:])
+        return Csr(indptr, new[self.indices[inside]], self.data[inside], m)
+
+
+def _symmetric_csr(edges: np.ndarray, n: int) -> Csr:
+    """The symmetric n x n :class:`Csr` of ``edges`` (as :func:`_cell_edges`
+    gives them): a 1.0 at both ``(u, v)`` and ``(v, u)``."""
     u, v = edges.T
-    adjacency = csr_array(
-        (np.ones(2 * len(edges)), (np.r_[u, v], np.r_[v, u])), shape=(n, n)
-    )
-    adjacency.sort_indices()
-    return adjacency
+    return Csr.from_coo(np.r_[u, v], np.r_[v, u], np.ones(2 * len(edges)), n)
 
 
-def _reachable(adjacency, start: int) -> np.ndarray:
+def _reachable(adjacency: Csr, start: int) -> np.ndarray:
     """Boolean mask of the vertices joined to ``start`` by a path in the
-    symmetric CSR ``adjacency``: breadth first, one sparse product per
-    frontier."""
-    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    symmetric ``adjacency``: breadth first, each frontier the unseen
+    neighbours gathered from the rows of the last."""
+    rows = adjacency.rows()
+    seen = np.zeros(adjacency.n, dtype=bool)
     frontier = seen.copy()
     frontier[start] = True
     while frontier.any():
         seen |= frontier
-        frontier = (adjacency @ frontier > 0) & ~seen
+        reached = np.zeros_like(seen)
+        reached[adjacency.indices[frontier[rows]]] = True
+        frontier = reached & ~seen
     return seen
+
+
+def hop_distances(adjacency: Csr) -> np.ndarray:
+    """Hop counts of the shortest paths between all pairs of vertices of the
+    symmetric ``adjacency``: an n x n float64 array, ``inf`` where no path
+    joins two vertices.
+
+    One breadth-first search from every source at once.  Each vertex keeps
+    the set of sources that have reached it as bits, packed into uint64
+    words, and at each level it ORs in its neighbours' last frontier through
+    a neighbour table padded with an empty row.  The level at which a bit
+    arrives is its hop count; its binary digits are kept as one packed bit
+    plane each and unpacked once at the end."""
+    n = adjacency.n
+    rows = adjacency.rows()
+    table = np.full((n, max(int(np.diff(adjacency.indptr).max(initial=0)), 1)), n)
+    table[rows, np.arange(len(rows)) - adjacency.indptr[rows]] = adjacency.indices
+    words = -(-n // 64)
+    reached = np.zeros((n, 8 * words), dtype=np.uint8)
+    reached[:, : -(-n // 8)] = np.packbits(np.eye(n, dtype=bool), axis=1)
+    reached = reached.view(np.uint64)
+    frontier = np.zeros((n + 1, words), dtype=np.uint64)
+    frontier[:n] = reached
+    planes: list[np.ndarray] = []  # planes[b]: bit b of each hop count
+    level = 0
+    while True:
+        level += 1
+        new = np.bitwise_or.reduce(frontier[table], axis=1) & ~reached
+        if not new.any():
+            break
+        reached |= new
+        frontier[:n] = new
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros_like(reached))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= new
+
+    def unpacked(bits: np.ndarray) -> np.ndarray:
+        return np.unpackbits(bits.view(np.uint8), axis=1, count=n)
+
+    hops = np.zeros((n, n))
+    for b, plane in enumerate(planes):
+        hops += unpacked(plane) * float(2**b)
+    hops[unpacked(reached) == 0] = np.inf
+    return hops
 
 
 def _common_lattice(groups: list[list[Vec2]]) -> tuple[int, list[np.ndarray]]:

@@ -10,9 +10,10 @@ kernels at different depths approximate one continuum object: densities obey
 Densities are always taken with respect to the vertex measure, so the
 long-time limit on ``K<<M>>`` is ``N^-M``.
 
-The generator is held as its nonzeros (a CSR array), which both the
-reflected and the killed decomposition read.  Every kernel of a graph is
-indexed by its vertices; the killed one is 0 at the corners of ``K<<M>>``.
+The generator is held as its nonzeros (a numpy :class:`~.geometry.Csr`),
+which both the reflected and the killed decomposition read.  Every kernel
+of a graph is indexed by its vertices; the killed one is 0 at the corners
+of ``K<<M>>``.
 
 Decomposition: nested fractals are symmetric by axiom, so each generator
 commutes with the group G generated by the bisector reflections of pairs of
@@ -41,10 +42,10 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .exact import Vec2
 from .geometry import (
+    Csr,
     FractalSystem,
     VertexGraph,
     _bisector_reflection,
@@ -73,12 +74,12 @@ class KernelError(RuntimeError):
 @dataclass
 class Generator:
     """Continuous-time walk generator on a vertex graph, held as its
-    nonzeros: ``matrix`` is an n x n CSR array with sorted indices, one
-    rate per edge direction and a diagonal that makes each row sum to 0."""
+    nonzeros: ``matrix`` is an n x n :class:`Csr`, one rate per edge
+    direction and a diagonal that makes each row sum to 0."""
 
     graph: VertexGraph
     rate_scale: float
-    matrix: csr_array
+    matrix: Csr
 
 
 def build_generator(graph: VertexGraph) -> Generator:
@@ -89,14 +90,13 @@ def build_generator(graph: VertexGraph) -> Generator:
     lam = float(graph.system.L) ** (graph.system.walk_dim * graph.depth)
     n = graph.n_vertices
     # one rate per edge direction, at the nonzeros of the adjacency
-    rows, cols = np.repeat(np.arange(n), graph.degrees), graph.adjacency.indices
+    rows, cols = graph.adjacency.rows(), graph.adjacency.indices
     diag = np.arange(n)
     rates = lam / graph.incident[rows]
     # the rates out of a vertex are equal, and up to 4 equal terms (the
     # gasket's degree) sum to the same bits in any order, as in a dense sum
     data = np.r_[rates, -np.bincount(rows, rates, minlength=n)]
-    q = csr_array((data, (np.r_[rows, diag], np.r_[cols, diag])), shape=(n, n))
-    q.sort_indices()
+    q = Csr.from_coo(np.r_[rows, diag], np.r_[cols, diag], data, n)
     return Generator(graph=graph, rate_scale=lam, matrix=q)
 
 
@@ -189,12 +189,12 @@ class SpectralKernel:
 
 
 def _symmetric_eigh(
-    q: csr_array, mu: np.ndarray, lattice: np.ndarray, denom: int, corners, keep=None
+    q: Csr, mu: np.ndarray, lattice: np.ndarray, denom: int, corners, keep=None
 ):
     """Rates ``lambda`` (ascending) and counting-measure orthonormal
-    eigenvectors of the generator ``q`` (CSR, sorted indices), symmetrized
-    against ``mu``, one block per irrep of the symmetry group G of
-    ``K<<M>>``.
+    eigenvectors of the generator ``q`` (entries in row-major order),
+    symmetrized against ``mu``, one block per irrep of the symmetry group G
+    of ``K<<M>>``.
 
     G is generated by the bisector reflections of pairs of ``corners`` (the
     exact corners of ``K<<M>>``); the points of the rows of ``q`` are the
@@ -223,8 +223,7 @@ def _symmetric_eigh(
     that decomposes and a run that reads the cache compute identical bytes.
     """
     n = len(mu)
-    rows = np.repeat(np.arange(n), np.diff(q.indptr))
-    cols = q.indices.astype(np.intp)
+    rows, cols = q.rows(), q.indices
     key = rows * n + cols  # row-major positions of the nonzeros, ascending
     s = np.sqrt(mu)
     half = q.data * (s[rows] * (1.0 / s)[cols])  # q * outer(s, 1/s)
@@ -548,7 +547,7 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
     keep = np.ones(graph.n_vertices, dtype=bool)
     keep[graph.corner_indices()] = False
     lam, psi = _symmetric_eigh(
-        gen.matrix[keep][:, keep],
+        gen.matrix.restrict(keep),
         graph.measure[keep],
         graph.lattice[keep],
         graph.lattice_denom,
@@ -634,7 +633,10 @@ def absorbing_exit_time(
         raise KernelError("the walk must start off the absorbing vertices")
     # the generator's negative on the free vertices: degrees on the diagonal,
     # -1 per edge between free vertices
-    a = np.diag(graph.degrees[free]) - graph.adjacency[free][:, free].toarray()
+    at = np.cumsum(free) - 1  # the row of each free vertex
+    u, v = graph.edges[free[graph.edges].all(axis=1)].T
+    a = np.diag(graph.degrees[free].astype(float))
+    a[at[u], at[v]] = a[at[v], at[u]] = -1.0
     sol = np.linalg.solve(a, np.ones(len(a)))
     return float(sol[np.count_nonzero(free[:start])])
 

@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import gammaln as _gammaln
 
 
 def __getattr__(name: str):
@@ -241,12 +239,10 @@ def stable_tail_series(alpha: float, x, terms: int | None = None):
         if not todo.size:
             break
         k = np.arange(first, min(first + _SERIES_BLOCK, n_terms + 1), dtype=float)
+        # log Gamma(alpha k + 1) - log k!: the same for every point
+        log_coef = [math.lgamma(alpha * j + 1.0) - math.lgamma(j + 1.0) for j in k.tolist()]
         k = k[:, None]
-        log_mag = (
-            _gammaln(alpha * k + 1.0)
-            - _gammaln(k + 1.0)
-            - (alpha * k + 1.0) * log_x[todo]
-        )
+        log_mag = np.array(log_coef)[:, None] - (alpha * k + 1.0) * log_x[todo]
         bound = np.exp(log_mag)
         term = (-1.0) ** (k + 1.0) * np.sin(math.pi * alpha * k) * bound
         # running[j] is the sum before the block's j-th term
@@ -329,7 +325,7 @@ def relativistic_density(alpha: float, m: float, t: float, s) -> float | np.ndar
 
 def stable_tail_constant(alpha: float) -> float:
     """Limit of eta_1(u) u^(1+alpha): alpha / Gamma(1 - alpha)."""
-    return alpha / _gamma(1.0 - alpha)
+    return alpha / math.gamma(1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractalheat import (
     validate_snf,
 )
 from fractalheat.exact import LinearMap2, Q3, Vec2
-from fractalheat.geometry import Similitude
+from fractalheat.geometry import Csr, Similitude, hop_distances
 
 from conftest import exact_points
 
@@ -305,3 +305,34 @@ def test_corner_off_the_lattice_raises(gasket):
     moved = dataclasses.replace(g, lattice=g.lattice + 1)
     with pytest.raises(FractalError, match="not a vertex of the graph"):
         moved.corner_indices()
+
+
+def _csgraph_hops(adjacency) -> np.ndarray:
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import shortest_path
+
+    m = csr_array((adjacency.data, adjacency.indices, adjacency.indptr), shape=(adjacency.n,) * 2)
+    return shortest_path(m, method="D", unweighted=True)
+
+
+@pytest.mark.parametrize(
+    "name, M, depth",
+    [("gasket", M, depth) for M in (0, 1, 2) for depth in (2, 3, 4, 5)]
+    + [("interval", 0, 4), ("interval", 2, 5)],
+)
+def test_hop_distances_match_csgraph_bitwise(request, name, M, depth):
+    adjacency = build_vertex_graph(request.getfixturevalue(name), M, depth).adjacency
+    hops = hop_distances(adjacency)
+    assert hops.dtype == np.float64
+    assert hops.tobytes() == _csgraph_hops(adjacency).tobytes()
+
+
+def test_hop_distances_of_a_disconnected_graph():
+    # a path 0-1-2, a pair 3-4 whose rows come out of order, and a lone 5
+    edges = np.array([[0, 1], [1, 2], [4, 3]])
+    rows, cols = np.r_[edges[:, 0], edges[:, 1]], np.r_[edges[:, 1], edges[:, 0]]
+    adjacency = Csr.from_coo(rows, cols, np.ones(len(rows)), 6)
+    hops = hop_distances(adjacency)
+    assert np.isinf(hops).sum() == 36 - 9 - 4 - 1
+    assert hops[0, 2] == 2.0 and hops[4, 3] == 1.0 and hops[5, 5] == 0.0
+    assert hops.tobytes() == _csgraph_hops(adjacency).tobytes()

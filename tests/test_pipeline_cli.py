@@ -408,15 +408,15 @@ class TestCli:
         assert inventories["one"] == inventories["all"]
 
     def test_runs_do_not_import_unused_scipy_subpackages(self, tmp_path):
-        # neither the imports nor a cold report load scipy.integrate or
-        # scipy.spatial (each costs a run 0.1-0.4 s of start-up); the imports
-        # do not load scipy.sparse.csgraph either, which a run loads only
-        # for its geodesic distances
+        # neither the imports nor a cold report load scipy.integrate,
+        # scipy.spatial, scipy.sparse or scipy.special (each costs a run
+        # 0.1-0.4 s of start-up): the package runs on numpy and reads only
+        # scipy's version
         script = (
             "import sys\n"
             "import fractalheat.cli, fractalheat.pipeline, fractalheat.subordinate\n"
-            "heavy = ('scipy.integrate', 'scipy.spatial')\n"
-            "print(*[m for m in heavy + ('scipy.sparse.csgraph',) if m in sys.modules])\n"
+            "heavy = ('scipy.integrate', 'scipy.spatial', 'scipy.sparse', 'scipy.special')\n"
+            "print(*[m for m in heavy if m in sys.modules])\n"
             "from fractalheat.config import load_run_config\n"
             f"cfg = load_run_config({str(_quick_config(tmp_path))!r})\n"
             "assert fractalheat.pipeline.run_pipeline(cfg).claims_passed\n"

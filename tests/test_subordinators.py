@@ -285,3 +285,26 @@ class TestTails:
     def test_tail_constant_formula(self):
         assert stable_tail_constant(0.5) == pytest.approx(1 / (2 * math.sqrt(math.pi)))
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    def test_gamma_values_match_scipy_special(self, alpha):
+        # the series and the tail constant take Gamma from ``math``; scipy's
+        # special functions, summed term by term here, are the reference
+        from scipy.special import gamma, gammaln
+
+        def series(x, terms):
+            total = 0.0
+            for k in range(1, terms + 1):
+                log_mag = gammaln(alpha * k + 1.0) - gammaln(k + 1.0)
+                log_mag -= (alpha * k + 1.0) * math.log(x)
+                total += (-1) ** (k + 1) * math.sin(math.pi * alpha * k) * math.exp(log_mag)
+            return total / math.pi
+
+        u = np.geomspace(1e-3, _SERIES_EPS_SWITCH, 12) ** (-(1.0 - alpha) / alpha)
+        for terms in (40, None):
+            got = stable_tail_series(alpha, u, terms=terms)
+            expected = [series(x, terms or 219) for x in u]
+            assert got == pytest.approx(expected, rel=2e-15, abs=0.0)
+        assert stable_tail_constant(alpha) == pytest.approx(
+            alpha / gamma(1.0 - alpha), rel=2e-15, abs=0.0
+        )
+

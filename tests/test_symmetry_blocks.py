@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
 
 from fractalheat import (
     build_generator,
@@ -18,7 +17,7 @@ from fractalheat import (
     unit_interval_system,
 )
 from fractalheat.exact import Vec2
-from fractalheat.geometry import _bisector_reflection
+from fractalheat.geometry import Csr, _bisector_reflection
 from fractalheat.kernels import SpectralKernel
 
 from conftest import exact_points
@@ -80,8 +79,25 @@ def _dense_generator(graph) -> np.ndarray:
 def test_sparse_generator_matches_the_dense_one_bitwise(name, M, depth):
     graph = build_vertex_graph(SYSTEMS[name](), M, depth)
     q = build_generator(graph).matrix
-    assert q.has_sorted_indices
-    assert np.array_equal(q.toarray(), _dense_generator(graph))
+    dense = _dense_generator(graph)
+    assert np.array_equal(_checked_dense(q), dense)
+    # the killed generator's block, and an arbitrary one, keep their bits
+    corners = np.ones(graph.n_vertices, dtype=bool)
+    corners[graph.corner_indices()] = False
+    mixed = np.random.default_rng(depth).random(graph.n_vertices) < 0.5
+    for keep in (corners, mixed):
+        assert np.array_equal(_checked_dense(q.restrict(keep)), dense[np.ix_(keep, keep)])
+
+
+def _checked_dense(q) -> np.ndarray:
+    """A sparse matrix as a dense array, after checking that its entries
+    run in strictly ascending row-major order."""
+    assert q.indptr[0] == 0 and q.indptr[-1] == len(q.indices) == len(q.data)
+    rows = np.repeat(np.arange(q.n), np.diff(q.indptr))
+    assert np.all(np.diff(rows * q.n + q.indices) > 0)
+    out = np.zeros((q.n, q.n))
+    out[rows, q.indices] = q.data
+    return out
 
 
 def _dense_oracle(kern: SpectralKernel) -> SpectralKernel:
@@ -165,8 +181,10 @@ def test_broken_symmetry_gives_one_dense_block(monkeypatch):
     corners = graph.system.corners(graph.M)
     eigh, sizes = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    rows, cols = np.nonzero(q)
     lam, psi = kernels._symmetric_eigh(
-        csr_array(q), graph.measure, graph.lattice, graph.lattice_denom, corners
+        Csr.from_coo(rows, cols, q[rows, cols], len(q)),
+        graph.measure, graph.lattice, graph.lattice_denom, corners,
     )
     assert sizes == [graph.n_vertices]
     s = np.sqrt(graph.measure)
