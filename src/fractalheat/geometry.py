@@ -679,7 +679,7 @@ def _cell_edges(cells: np.ndarray, n: int) -> np.ndarray:
 # Sparse rows and walks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class Csr:
     """An n x n sparse matrix in compressed sparse rows: row k holds the
     values ``data[indptr[k]:indptr[k+1]]`` at the columns ``indices`` in the

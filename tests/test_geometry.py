@@ -311,7 +311,9 @@ def _csgraph_hops(adjacency) -> np.ndarray:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import shortest_path
 
-    m = csr_array((adjacency.data, adjacency.indices, adjacency.indptr), shape=(adjacency.n,) * 2)
+    m = csr_array(
+        (adjacency.data, adjacency.indices, adjacency.indptr), shape=(adjacency.n,) * 2
+    )
     return shortest_path(m, method="D", unweighted=True)
 
 

@@ -307,4 +307,3 @@ class TestTails:
         assert stable_tail_constant(alpha) == pytest.approx(
             alpha / gamma(1.0 - alpha), rel=2e-15, abs=0.0
         )
-
