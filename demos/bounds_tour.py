@@ -18,16 +18,21 @@ from fractalheat.bounds import (
 gasket = sierpinski_gasket()
 cache = default_cache()
 study = ReflectionStudy.build(gasket, M=1, depth=3, window=2, cache=cache)
+# the grids, thresholds and seed of configs/default-run.ini, on 8 times
+settings = dict(n_times=8, t_min=0.1, flat_span=10.0, spread_threshold=10.0, seed=20240801)
 
 print("== stable subordination: reflected vs free ==")
-for name, rep in stable_comparison_reports(study, alpha=0.5, n_times=8).items():
+stable = stable_comparison_reports(study, alpha=0.5, bracket_tol=0.8, **settings)
+for name, rep in stable.items():
     print(
         f"  {name:6s}: ratio in [{rep.min_ratio:.4f}, {rep.max_ratio:.4f}] "
         f"spread {rep.spread:.2f} -> {'pass' if rep.passed else 'FAIL'}"
     )
 
 print("\n== relativistic subordination ==")
-reports = relativistic_comparison_reports(study, alpha=0.5, m=1.0, n_times=8)
+reports = relativistic_comparison_reports(
+    study, alpha=0.5, m=1.0, domination_tol=1e-8, **settings
+)
 for name, rep in reports.items():
     extra = f" (fitted c = {rep.fitted_c:.3f})" if rep.fitted_c else ""
     print(

@@ -70,7 +70,6 @@ _EXPORTS = {
         "EnvelopeForm",
         "ReflectionStudy",
         "SandwichReport",
-        "classify_regime",
         "form_for",
         "refinement_stability",
         "relativistic_comparison_reports",

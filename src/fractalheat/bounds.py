@@ -7,6 +7,13 @@ sits in an exponent, and report the min/max ratio.  A claim passes when the
 ratio spread is finite, below a declared threshold, and stable under grid
 refinement.
 
+The report functions are the one definition of the regimes.  Stable:
+'near' below the crossover ``L^(alpha M d_w)``, 'flat' (level ``N^-M``)
+from it on.  Relativistic: 'flat' from ``L^(M d_w)`` on, 'regime1' on
+``[1, L^(M d_w))``, and below ``t = 1`` 'regime2' where ``r >= 1`` and
+'regime3' where ``r < 1``.  The reports take a run's settings as required
+arguments; their defaults are those of ``RunConfig``.
+
 Each regime constant is fitted once, on a seeded subsample: the reports
 carry the minimax constant, which minimizes the ratio spread and so is what
 a best two-sided sandwich constant means, and the least-squares decay slope
@@ -35,6 +42,9 @@ from .subordinators import SubordinatorSpec
 CLAMP = 1e-14  # ratio statistics only; raw kernel values are never clamped
 PLOT_PAIRS = 50  # folded-graph pairs a report samples at each of its times
 SUB_UNIT_END = 0.95  # last time of the sub-unit grid of relativistic regimes 2, 3
+BRACKET_PAIRS = 150  # seeded interior pairs of the truncation bracket
+FIT_PAIRS = 60000  # seeded fit draws of a regime report, over all its times
+DECAY_CONSTANT_CAP = 100.0  # the minimax decay constant is sought on [0, cap]
 
 
 class BoundError(ValueError):
@@ -65,6 +75,7 @@ class EnvelopeForm:
     d_w: float
     d_J: float
     L: float
+    N: int
     alpha: float | None = None
     M: int | None = None
     c: float = 1.0
@@ -80,6 +91,13 @@ class EnvelopeForm:
     def with_constant(self, c: float) -> "EnvelopeForm":
         return dataclasses.replace(self, c=c)
 
+    @property
+    def flat_level(self) -> float:
+        """``N^-M``, the long-time level of the reflected kernel on
+        ``K<<M>>``, exactly: ``L**(-d M)`` is 0.11111111111111109 at M = 2
+        on the gasket, where ``1 / N**M`` is 1/9."""
+        return 1.0 / self.N**self.M
+
     # -- pieces shared with the constant fit --------------------------------
 
     def prefactor(self, t):
@@ -93,12 +111,10 @@ class EnvelopeForm:
         if k in ("stable_form", "relativistic_regime_3"):
             raise BoundError(f"{k} has no exponential split")
         if k == "flat":
-            return np.full_like(t, self.L ** (-self.d * self.M))
+            return np.full_like(t, self.flat_level)
         if k == "h_env":
             z = np.maximum(self.L**self.M / t ** (1.0 / self.d_w), 1.0)
-            return self.L ** (-self.d * self.M) * z ** (
-                self.d - self.d_w / (self.d_J - 1.0)
-            )
+            return self.flat_level * z ** (self.d - self.d_w / (self.d_J - 1.0))
         raise BoundError(k)
 
     def decay_argument(self, t, r):
@@ -149,36 +165,11 @@ def form_for(system: FractalSystem, kind: str, alpha=None, M=None, c=1.0) -> Env
         d_w=system.walk_dim,
         d_J=system.chemical_exp,
         L=float(system.L),
+        N=system.n_maps,
         alpha=alpha,
         M=M,
         c=c,
     )
-
-
-# ---------------------------------------------------------------------------
-# Regimes
-
-
-def classify_regime(
-    system: FractalSystem, process: str, t: float, r: float, M: int, alpha: float
-) -> str:
-    """Deterministic regime label for a (t, r) sample and process kind.
-
-    Stable: 'near' below the crossover ``L^(alpha M d_w)``, 'flat' at and
-    above it.  Relativistic: 'flat' for ``t >= L^(M d_w)``; 'regime1' for
-    ``1 <= t < L^(M d_w)``; below ``t = 1`` the spatial split at ``r = 1``
-    separates 'regime2' (far) from 'regime3' (near).
-    """
-    lf = float(system.L)
-    if process == "stable":
-        return "flat" if t >= lf ** (alpha * M * system.walk_dim) else "near"
-    if process == "relativistic":
-        if t >= lf ** (M * system.walk_dim):
-            return "flat"
-        if t >= 1.0:
-            return "regime1"
-        return "regime2" if r >= 1.0 else "regime3"
-    raise BoundError(f"unknown process kind {process!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +241,14 @@ def _lsq_decay_fit(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), r2
 
 
-def _minimax_decay_constant(y: np.ndarray, x: np.ndarray, c_max: float = 100.0) -> float:
+def _minimax_decay_constant(y: np.ndarray, x: np.ndarray) -> float:
     """Constant c >= 0 minimizing max(y - c x) - min(y - c x): the tightest
     single-constant sandwich of exp(-c x) against the data."""
     def width(c: float) -> float:
         resid = y - c * x
         return float(resid.max() - resid.min())
 
-    return _bounded_minimum(width, 0.0, c_max, xatol=1e-6)
+    return _bounded_minimum(width, 0.0, DECAY_CONSTANT_CAP, xatol=1e-6)
 
 
 def _bounded_minimum(f, a: float, b: float, xatol: float, maxfun: int = 500) -> float:
@@ -399,33 +390,31 @@ class ReflectionStudy:
                 self._geodesic = hops * float(self.system.L) ** (-self.depth)
             return self._geodesic
 
-    def folded_matrix(self, t: float, spec: SubordinatorSpec | None = None):
-        expo = spec.laplace_exponent if spec else None
-        return self.folded.matrix(t, exponent=expo)
+    def folded_matrix(self, t: float, spec: SubordinatorSpec):
+        return self.folded.matrix(t, exponent=spec.laplace_exponent)
 
-    def free_matrix(self, t: float, spec: SubordinatorSpec | None = None):
+    def free_matrix(self, t: float, spec: SubordinatorSpec):
         """Free-kernel surrogate evaluated at the folded-graph points."""
-        expo = spec.laplace_exponent if spec else None
-        return self.window_kernel.matrix(t, rows=self.sub_indices, exponent=expo)
+        return self.window_kernel.matrix(
+            t, rows=self.sub_indices, exponent=spec.laplace_exponent
+        )
 
-    def certifiable_mask(self, radius: float | None = None) -> np.ndarray:
-        """Folded-graph points at distance >= radius from every killed window
-        corner.  The reflected and killed window kernels genuinely differ at
-        the corners themselves (the killed one vanishes there), so the
-        truncation certificate is only meaningful away from them."""
-        if radius is None:
-            radius = float(self.system.L) ** self.M / 4.0
+    def certifiable_mask(self) -> np.ndarray:
+        """Folded-graph points at distance >= ``L^M / 4`` from every killed
+        window corner.  The reflected and killed window kernels genuinely
+        differ at the corners themselves (the killed one vanishes there), so
+        the truncation certificate is only meaningful away from them."""
+        radius = float(self.system.L) ** self.M / 4.0
         wgraph = self.window_kernel.graph
         corners = wgraph.coords[wgraph.corner_indices()]
         pts = self.folded.graph.coords
         d = np.sqrt(((pts[:, None, :] - corners[None, :, :]) ** 2).sum(axis=2))
         return d.min(axis=1) >= radius
 
-    def truncation_bracket(
-        self, spec: SubordinatorSpec, times, max_points: int = 200, seed: int = 0
-    ) -> float:
-        """max (reflected - killed)/reflected over a seeded interior sample:
-        brackets the free-kernel surrogate error from both sides."""
+    def truncation_bracket(self, spec: SubordinatorSpec, times, seed: int) -> float:
+        """max (reflected - killed)/reflected over ``BRACKET_PAIRS`` seeded
+        interior pairs per time: brackets the free-kernel surrogate error
+        from both sides."""
         rng = np.random.default_rng(seed)
         ok = np.flatnonzero(self.certifiable_mask())
         if ok.size == 0:
@@ -435,7 +424,7 @@ class ReflectionStudy:
         expo = spec.laplace_exponent
         worst = 0.0
         for t in times:
-            pairs = self.sub_indices[rng.choice(ok, size=(max_points, 2))]
+            pairs = self.sub_indices[rng.choice(ok, size=(BRACKET_PAIRS, 2))]
             if np.isin(pairs, corners).any():
                 raise BoundError("a bracket point is a killed corner of the window")
             free = self.window_kernel.value(t, pairs[:, 0], pairs[:, 1], expo)
@@ -483,7 +472,7 @@ def _flat_pass(study: ReflectionStudy, spec: SubordinatorSpec, times, pairs, pos
     The flat level is one scalar, and max(x, CLAMP) / level grows with x, so
     the extremes are those of the folded block, clamped and divided: the
     same bits as the ratio block they stand for."""
-    level = 1.0 / float(study.system.L) ** (study.M * study.system.hausdorff_dim)
+    level = form_for(study.system, "flat", M=study.M).flat_level
     scale = max(level, CLAMP)
     gmin, gmax, samples = np.inf, -np.inf, []
     for t in times:
@@ -539,19 +528,20 @@ def _domination_pass(study: ReflectionStudy, spec: SubordinatorSpec, times, pair
 def stable_comparison_reports(
     study: ReflectionStudy,
     alpha: float,
-    n_times: int = 12,
-    t_min: float = 0.1,
-    flat_span: float = 20.0,
-    spread_threshold: float = 10.0,
-    bracket_tol: float | None = None,
-    bracket_sample: int = 150,
-    seed: int = 0,
+    *,
+    n_times: int,
+    t_min: float,
+    flat_span: float,
+    spread_threshold: float,
+    bracket_tol: float,
+    seed: int,
 ) -> dict[str, BoundReport]:
     """Two-regime comparison for the stable-subordinate reflected kernel.
 
     'near' checks the folded/free ratio below the crossover time
     ``L^(alpha M d_w)``; 'flat' checks the folded kernel against the constant
-    level ``L^(-M d)`` from the crossover onward.
+    level ``N^-M`` from the crossover onward.  A truncation bracket above
+    ``bracket_tol`` raises ``KernelError``.
     """
     spec = SubordinatorSpec("stable", alpha)
     system = study.system
@@ -561,10 +551,8 @@ def stable_comparison_reports(
     near_times = log_time_grid(t_min, crossover * 0.98, n_times)
     flat_times = log_time_grid(crossover, crossover * flat_span, n_times)
 
-    bracket = study.truncation_bracket(
-        spec, [near_times[-1]], max_points=bracket_sample, seed=seed
-    )
-    if bracket_tol is not None and bracket > bracket_tol:
+    bracket = study.truncation_bracket(spec, [near_times[-1]], seed=seed)
+    if bracket > bracket_tol:
         raise KernelError(
             f"free-kernel truncation bracket {bracket:.3f} exceeds {bracket_tol}; "
             f"increase the window level beyond {study.window}"
@@ -599,13 +587,13 @@ def relativistic_comparison_reports(
     study: ReflectionStudy,
     alpha: float,
     m: float,
-    n_times: int = 12,
-    t_min: float = 0.1,
-    flat_span: float = 10.0,
-    spread_threshold: float = 10.0,
-    domination_tol: float = 1e-8,
-    fit_sample: int = 60000,
-    seed: int = 0,
+    *,
+    n_times: int,
+    t_min: float,
+    flat_span: float,
+    spread_threshold: float,
+    domination_tol: float,
+    seed: int,
 ) -> dict[str, BoundReport]:
     """Flat-regime spread, pointwise lower domination, and the three
     sub-crossover regime forms for the relativistic reflected kernel.
@@ -693,7 +681,7 @@ def relativistic_comparison_reports(
             for name, ij in plot_pairs.items():
                 plot_vals[name].append(block[ij[:, 0], ij[:, 1]])
             for name, pool in fit_pool.items():
-                take = min(len(pool), max(500, fit_sample // len(times)))
+                take = min(len(pool), max(500, FIT_PAIRS // len(times)))
                 sel = pool[rng.choice(len(pool), size=take, replace=False)]
                 fit_draws[name].append((sel, flat[sel]))
             # free this time's block before the next time's is computed

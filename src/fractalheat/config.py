@@ -128,7 +128,9 @@ class RunConfig:
     window: int = 2
     seed: int = 20240801
     out_dir: Path = Path("out")
-    subordinators: list[SubordinatorSpec] = field(default_factory=list)
+    subordinators: list[SubordinatorSpec] = field(
+        default_factory=lambda: [SubordinatorSpec("stable", 0.5)]
+    )
     n_times: int = 12
     t_min: float = 0.1
     flat_span: float = 10.0
@@ -231,13 +233,10 @@ def load_run_config(path: str | Path, out_override=None) -> RunConfig:
         raise ConfigError(f"{path}: [run] must name a fractal config")
     fractal_path = (path.parent / fractal_rel).resolve()
 
-    subs_text = (
-        parser["subordinators"].get("specs", "")
-        if "subordinators" in parser
-        else "stable:0.5"
-    )
-    subs = [parse_subordinator(s) for s in subs_text.split(";") if s.strip()]
     settings = {}
+    if "subordinators" in parser:
+        specs = parser["subordinators"].get("specs", "").split(";")
+        settings["subordinators"] = [parse_subordinator(s) for s in specs if s.strip()]
     for section, key, name, cast in _RUN_KEYS:
         if section in parser and key in parser[section]:
             try:
@@ -250,7 +249,6 @@ def load_run_config(path: str | Path, out_override=None) -> RunConfig:
     cfg = RunConfig(
         fractal_path=fractal_path,
         system=load_fractal_config(fractal_path),
-        subordinators=subs,
         raw_text=text,
         **settings,
     )

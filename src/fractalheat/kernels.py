@@ -125,7 +125,11 @@ class SpectralKernel:
 
     @property
     def flat_value(self) -> float:
-        """Long-time limit 1/mu(total) for conservative kernels."""
+        """Long-time limit 1/mu(total) for conservative kernels: the
+        kernel's own constant mode, which the closure in
+        ``subordinate_quadrature`` must match, so not the exact ``N^-M`` of
+        the bound reports (the float measure sums to 3.000000000000001 at
+        M = 1, depth 4 on the gasket)."""
         if not self.conservative:
             return 0.0
         return 1.0 / float(self.mu.sum())

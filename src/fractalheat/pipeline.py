@@ -101,6 +101,8 @@ class PipelineState:
     claims: dict[tuple[str, str], dict] = field(default_factory=dict)
     plot_rows: dict[str, list[tuple]] = field(default_factory=dict)
     claims_passed: bool = True
+    # the (i, j) vertex pairs of the kernel tables, drawn in the spectral stage
+    table_pairs_idx: np.ndarray | None = None
 
     def out(self, rel: str) -> Path:
         path = self.config.out_dir / rel

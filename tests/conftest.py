@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from fractalheat import KernelCache, sierpinski_gasket, unit_interval_system
+from fractalheat.config import RunConfig
 from fractalheat.exact import Q3, Vec2
 
 
@@ -30,3 +32,13 @@ def exact_points(graph) -> list[Vec2]:
         Vec2(Q3(Fraction(xa, s), Fraction(xb, s)), Q3(Fraction(ya, s), Fraction(yb, s)))
         for xa, xb, ya, yb in graph.lattice.tolist()
     ]
+
+
+def report_settings(kind: str, **overrides) -> dict:
+    """The settings a run passes to the ``kind`` ("stable" or
+    "relativistic") bound-report function: the ``RunConfig`` defaults, with
+    ``overrides``."""
+    tol = "bracket_tol" if kind == "stable" else "domination_tol"
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    names = ("n_times", "t_min", "flat_span", "spread_threshold", tol, "seed")
+    return {name: defaults[name] for name in names} | overrides

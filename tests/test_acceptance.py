@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import report_settings
 
 from fractalheat import (
     build_good_labeling,
@@ -200,7 +201,9 @@ def studies(gasket, cache):
 def test_criterion_07_stable_reflection_bounds(studies):
     t0 = time.perf_counter()
     reports = {
-        n: stable_comparison_reports(studies[n], alpha=0.5, n_times=12, seed=11)
+        n: stable_comparison_reports(
+            studies[n], alpha=0.5, **report_settings("stable", n_times=12, seed=11)
+        )
         for n in (4, 5)
     }
     details = []
@@ -224,7 +227,7 @@ def test_criterion_08_relativistic_reflection_bounds(studies):
     t0 = time.perf_counter()
     reports = {
         n: relativistic_comparison_reports(
-            studies[n], alpha=0.5, m=1.0, n_times=12, seed=11
+            studies[n], alpha=0.5, m=1.0, **report_settings("relativistic", n_times=12, seed=11)
         )
         for n in (4, 5)
     }

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import report_settings
 
 from fractalheat import bounds
 from fractalheat.bounds import (
@@ -10,7 +11,6 @@ from fractalheat.bounds import (
     BoundError,
     EnvelopeForm,
     ReflectionStudy,
-    classify_regime,
     form_for,
     log_time_grid,
     refinement_stability,
@@ -72,21 +72,38 @@ class TestForms:
             form_for(gasket, "f_env").evaluate(-1.0, 0.0)
 
 
+def paper_regime(system, process: str, t: float, r: float, M: int, alpha: float) -> str:
+    """The paper's regime split, the tests' oracle for the report passes.
+
+    Stable: 'near' below ``L^(alpha M d_w)``, 'flat' from there on.
+    Relativistic: 'flat' from ``L^(M d_w)`` on; 'regime1' on
+    ``[1, L^(M d_w))``; below ``t = 1``, 'regime2' where ``r >= 1`` and
+    'regime3' where ``r < 1``.
+    """
+    L, d_w = float(system.L), system.walk_dim
+    if process == "stable":
+        return "flat" if t >= L ** (alpha * M * d_w) else "near"
+    if t >= L ** (M * d_w):
+        return "flat"
+    if t >= 1.0:
+        return "regime1"
+    return "regime2" if r >= 1.0 else "regime3"
+
+
 class TestRegimeClassification:
+    # the boundaries of the oracle: each regime starts at its threshold
     def test_stable_boundary_is_flat(self, gasket):
         crossover = 5.0**0.5  # alpha=1/2, M=1
-        assert classify_regime(gasket, "stable", crossover, 0.3, 1, 0.5) == "flat"
-        assert classify_regime(gasket, "stable", crossover * 0.999, 0.3, 1, 0.5) == "near"
+        assert paper_regime(gasket, "stable", crossover, 0.3, 1, 0.5) == "flat"
+        assert paper_regime(gasket, "stable", crossover * 0.999, 0.3, 1, 0.5) == "near"
 
     def test_relativistic_cases(self, gasket):
-        assert classify_regime(gasket, "relativistic", 0.5, 2.0, 1, 0.5) == "regime2"
-        assert classify_regime(gasket, "relativistic", 2.0, 1.5, 1, 0.5) == "regime1"
-        assert classify_regime(gasket, "relativistic", 0.5, 0.5, 1, 0.5) == "regime3"
-        assert classify_regime(gasket, "relativistic", 5.0, 0.5, 1, 0.5) == "flat"
-
-    def test_unknown_process(self, gasket):
-        with pytest.raises(BoundError):
-            classify_regime(gasket, "cauchy", 1.0, 1.0, 0, 0.5)
+        assert paper_regime(gasket, "relativistic", 0.5, 2.0, 1, 0.5) == "regime2"
+        assert paper_regime(gasket, "relativistic", 0.5, 1.0, 1, 0.5) == "regime2"
+        assert paper_regime(gasket, "relativistic", 1.0, 0.5, 1, 0.5) == "regime1"
+        assert paper_regime(gasket, "relativistic", 2.0, 1.5, 1, 0.5) == "regime1"
+        assert paper_regime(gasket, "relativistic", 0.5, 0.5, 1, 0.5) == "regime3"
+        assert paper_regime(gasket, "relativistic", 5.0, 0.5, 1, 0.5) == "flat"
 
 
 class TestEnvelopeFitting:
@@ -114,36 +131,43 @@ class TestEnvelopeFitting:
 
 class TestComparisonReports:
     def test_stable_reports_pass(self, study):
-        reports = stable_comparison_reports(study, alpha=0.5, n_times=8)
+        reports = stable_comparison_reports(
+            study, alpha=0.5, **report_settings("stable", n_times=8)
+        )
         assert reports["near"].passed
         assert reports["flat"].passed
         assert reports["near"].min_ratio >= 1.0 - 1e-9  # folding domination
         assert reports["near"].extras["truncation_bracket"] < 1.0
 
     def test_relativistic_reports_pass(self, study):
-        reports = relativistic_comparison_reports(study, alpha=0.5, m=1.0, n_times=8)
+        reports = relativistic_comparison_reports(
+            study, alpha=0.5, m=1.0, **report_settings("relativistic", n_times=8)
+        )
         for name in ("flat", "domination", "regime1", "regime2", "regime3"):
             assert reports[name].passed, f"{name}: {reports[name].to_dict()}"
         assert reports["domination"].extras["max_violation"] <= 1e-8
 
     def test_refinement_stability(self, gasket, cache, study):
         fine = ReflectionStudy.build(gasket, M=1, depth=4, window=2, cache=cache)
-        coarse_reports = stable_comparison_reports(study, alpha=0.5, n_times=6)
-        fine_reports = stable_comparison_reports(fine, alpha=0.5, n_times=6)
+        settings = report_settings("stable", n_times=6)
+        coarse_reports = stable_comparison_reports(study, alpha=0.5, **settings)
+        fine_reports = stable_comparison_reports(fine, alpha=0.5, **settings)
         for name in ("near", "flat"):
             assert refinement_stability(coarse_reports[name], fine_reports[name]) <= 0.5
 
     def test_bracket_gate_raises(self, study):
         with pytest.raises(KernelError, match="window"):
-            stable_comparison_reports(study, alpha=0.5, n_times=4, bracket_tol=0.01)
+            stable_comparison_reports(
+                study, alpha=0.5, **report_settings("stable", n_times=4, bracket_tol=0.01)
+            )
 
     def test_bracket_matches_dense_blocks(self, study):
         # the same seeded pairs read out of full reflected and killed blocks
         spec = SubordinatorSpec("stable", 0.5)
         t = 0.8
-        bracket = study.truncation_bracket(spec, [t], max_points=100, seed=5)
+        bracket = study.truncation_bracket(spec, [t], seed=5)
         i, j = np.random.default_rng(5).choice(
-            np.flatnonzero(study.certifiable_mask()), size=(100, 2)
+            np.flatnonzero(study.certifiable_mask()), size=(bounds.BRACKET_PAIRS, 2)
         ).T
         free = study.free_matrix(t, spec)[i, j]
         diri = study.dirichlet().matrix(t, exponent=spec.laplace_exponent)
@@ -157,7 +181,7 @@ class TestComparisonReports:
         assert at_corner.any()
         monkeypatch.setattr(study, "certifiable_mask", lambda: at_corner)
         with pytest.raises(BoundError, match="corner"):
-            study.truncation_bracket(SubordinatorSpec("stable", 0.5), [1.0], max_points=5)
+            study.truncation_bracket(SubordinatorSpec("stable", 0.5), [1.0], seed=0)
 
     def test_window_must_exceed_m(self, gasket, cache):
         with pytest.raises(BoundError):
@@ -174,9 +198,11 @@ class TestComparisonReports:
         assert ratio.max() <= 2.0 + 1e-9
 
 
-def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, seed):
+def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_pairs, seed):
     """Reference: each regime fits its constant on a seeded subsample in one
-    pass over its times, then evaluates the form at every pair in a second."""
+    pass over its times, then evaluates the form at every pair in a second.
+    Returns the regimes' statistics and whether any fit drew fewer pairs than
+    its regime holds."""
     spec = SubordinatorSpec("relativistic", alpha, m)
     system = study.system
     n = len(study.sub_indices)
@@ -185,6 +211,7 @@ def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, seed):
     dist = study.geodesic_distances()
     rng = np.random.default_rng(seed)
     out = {}
+    subsampled = []
 
     def regime(name, times, mask, kind):
         form = fitted = form_for(system, kind, alpha=alpha, M=study.M)
@@ -195,7 +222,8 @@ def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, seed):
                 block = study.folded_matrix(t, spec)
                 vals = block[mask] if mask is not None else block.ravel()
                 r = dist[mask] if mask is not None else dist.ravel()
-                take = min(len(vals), max(500, fit_sample // len(times)))
+                take = min(len(vals), max(500, fit_pairs // len(times)))
+                subsampled.append(take < len(vals))
                 sel = rng.choice(len(vals), size=take, replace=False)
                 ts.append(np.full(take, t))
                 rs.append(r[sel])
@@ -243,27 +271,31 @@ def _two_pass_regimes(study, alpha, m, n_times, t_min, fit_sample, seed):
     if (dist >= 1.0).any():
         regime("regime2", sub_times, dist >= 1.0, "relativistic_regime_2")
     regime("regime3", sub_times, dist < 1.0, "relativistic_regime_3")
-    return out
+    return out, any(subsampled)
 
 
 class TestRegimeReports:
-    # the ids name the metric of the regime forms
+    # the ids name the metric of the regime forms and the fit draws.  From
+    # M = 1 on, the 60000 / 4 draws per time are fewer than a regime's pairs
+    # (123^2 at depth 3, 366^2 at depth 4), so the fit subsamples
     @pytest.mark.parametrize(
-        "M,alpha,m,fit_sample",
+        "M,alpha,m,depth",
         [
-            pytest.param(0, 0.5, 1.0, 60000, id="0-geodesic-0.5-1.0-60000"),
-            pytest.param(0, 0.5, 1.0, 2000, id="0-geodesic-0.5-1.0-2000"),
-            pytest.param(1, 0.5, 1.0, 2000, id="1-geodesic-0.5-1.0-2000"),
-            pytest.param(1, 0.5, 1.0, 60000, id="1-geodesic-0.5-1.0-60000"),
-            pytest.param(1, 0.7, 0.5, 60000, id="1-geodesic-0.7-0.5-60000"),
+            pytest.param(0, 0.5, 1.0, 3, id="0-geodesic-0.5-1.0-60000"),
+            pytest.param(1, 0.5, 1.0, 3, id="1-geodesic-0.5-1.0-60000"),
+            pytest.param(1, 0.7, 0.5, 3, id="1-geodesic-0.7-0.5-60000"),
+            pytest.param(1, 0.5, 1.0, 4, id="1-geodesic-0.5-1.0-60000-depth4"),
         ],
     )
-    def test_match_two_pass_reference_exactly(self, gasket, cache, M, alpha, m, fit_sample):
-        study = ReflectionStudy.build(gasket, M=M, depth=3, window=M + 1, cache=cache)
+    def test_match_two_pass_reference_exactly(self, gasket, cache, M, alpha, m, depth):
+        study = ReflectionStudy.build(gasket, M=M, depth=depth, window=M + 1, cache=cache)
         reports = relativistic_comparison_reports(
-            study, alpha, m, n_times=4, t_min=0.1, fit_sample=fit_sample, seed=3
+            study, alpha, m, **report_settings("relativistic", n_times=4, t_min=0.1, seed=3)
         )
-        expected = _two_pass_regimes(study, alpha, m, 4, 0.1, fit_sample, 3)
+        expected, subsampled = _two_pass_regimes(
+            study, alpha, m, 4, 0.1, bounds.FIT_PAIRS, 3
+        )
+        assert subsampled == (M > 0)
         names = [k for k in ("regime1", "regime2", "regime3") if k in reports]
         assert names == list(expected)
         assert ("regime1" in names) == (M > 0)
@@ -290,17 +322,20 @@ class TestRegimeReports:
 
         monkeypatch.setattr(SpectralKernel, "matrix", counted)
         k = 3
-        reports = relativistic_comparison_reports(study, alpha=0.5, m=1.0, n_times=k)
+        reports = relativistic_comparison_reports(
+            study, alpha=0.5, m=1.0, **report_settings("relativistic", n_times=k)
+        )
         assert {"regime1", "regime2", "regime3"} <= set(reports)
         assert len(calls) == 5 * k
 
 
 def _full_block_flat(study, spec, times, seed):
     """Reference: the flat ratio over every pair of a full clamped block per
-    time, with its plot samples read out of that block."""
+    time, against the level 1 / N^M, with its plot samples read out of that
+    block."""
     n = len(study.sub_indices)
     pairs = np.random.default_rng(seed).integers(0, n, size=(min(50, n), 2))
-    level = 1.0 / float(study.system.L) ** (study.M * study.system.hausdorff_dim)
+    level = 1 / study.system.n_maps**study.M
     gmin, gmax, samples = np.inf, -np.inf, []
     for t in times:
         block = study.folded_matrix(t, spec)
@@ -314,6 +349,13 @@ def _full_block_flat(study, spec, times, seed):
     return gmin, gmax, samples
 
 
+def _flat_report(study, kind):
+    settings = report_settings(kind, n_times=5, flat_span=7.0, seed=4)
+    if kind == "stable":
+        return stable_comparison_reports(study, 0.5, **settings)["flat"]
+    return relativistic_comparison_reports(study, 0.5, 1.0, **settings)["flat"]
+
+
 class TestFlatReports:
     @pytest.mark.parametrize("M", [0, 1])
     @pytest.mark.parametrize("kind", ["stable", "relativistic"])
@@ -322,18 +364,22 @@ class TestFlatReports:
         if kind == "stable":
             spec = SubordinatorSpec("stable", 0.5)
             crossover = float(gasket.L) ** (0.5 * M * gasket.walk_dim)
-            flat = stable_comparison_reports(study, 0.5, n_times=5, flat_span=7.0, seed=4)
         else:
             spec = SubordinatorSpec("relativistic", 0.5, 1.0)
             crossover = float(gasket.L) ** (M * gasket.walk_dim)
-            flat = relativistic_comparison_reports(
-                study, 0.5, 1.0, n_times=5, flat_span=7.0, seed=4
-            )
-        flat = flat["flat"]
+        flat = _flat_report(study, kind)
         expected = _full_block_flat(
             study, spec, log_time_grid(crossover, 7.0 * crossover, 5), seed=4
         )
         assert (flat.min_ratio, flat.max_ratio, flat.samples) == expected
+
+    @pytest.mark.parametrize("kind", ["stable", "relativistic"])
+    def test_level_is_exact_at_m2(self, gasket, cache, kind):
+        # the flat level of K<<2>> is 1/9 to the bit, where L^(-2 d) is
+        # 0.11111111111111109
+        study = ReflectionStudy.build(gasket, M=2, depth=2, window=3, cache=cache)
+        flat = _flat_report(study, kind)
+        assert flat.samples and {form for *_, form, _ in flat.samples} == {1 / 9}
 
 
 def _full_block_free(study, spec, times, seed):
@@ -373,12 +419,12 @@ class TestFreeReports:
         gmin, gmax, gap, samples = _full_block_free(
             study, spec, log_time_grid(0.1, 0.98 * crossover, 5), seed=4
         )
+        settings = report_settings(kind, n_times=5, seed=4)
         if kind == "stable":
-            near = stable_comparison_reports(study, 0.5, n_times=5, seed=4)["near"]
+            near = stable_comparison_reports(study, 0.5, **settings)["near"]
             assert (near.min_ratio, near.max_ratio, near.samples) == (gmin, gmax, samples)
         else:
-            dom = relativistic_comparison_reports(study, 0.5, 1.0, n_times=5, seed=4)
-            dom = dom["domination"]
+            dom = relativistic_comparison_reports(study, 0.5, 1.0, **settings)["domination"]
             assert (dom.extras["max_violation"], dom.samples) == (gap, samples)
 
 
@@ -453,14 +499,19 @@ def test_bounded_minimum_matches_scipy(f, lo, hi, xatol):
 
 @pytest.mark.parametrize("M", [0, 1])
 def test_plot_samples_lie_in_their_report_regime(gasket, cache, M):
-    # the report passes split time and distance on their own grids;
-    # classify_regime is the one written definition of the regimes.  Regime
-    # 1 needs a crossover above t = 1, so it appears from M = 1 on.
+    # the report passes are the package's one definition of the regimes;
+    # paper_regime, which shares no code with them, states the paper's
+    # split.  Regime 1 needs a crossover above t = 1, so it appears from
+    # M = 1 on.
     study = ReflectionStudy.build(gasket, M=M, depth=3, window=M + 1, cache=cache)
     alpha = 0.5
     reports = {
-        "stable": stable_comparison_reports(study, alpha=alpha, n_times=6),
-        "relativistic": relativistic_comparison_reports(study, alpha=alpha, m=1.0, n_times=6),
+        "stable": stable_comparison_reports(
+            study, alpha=alpha, **report_settings("stable", n_times=6)
+        ),
+        "relativistic": relativistic_comparison_reports(
+            study, alpha=alpha, m=1.0, **report_settings("relativistic", n_times=6)
+        ),
     }
     dist = study.geodesic_distances()
     expected = {
@@ -474,5 +525,5 @@ def test_plot_samples_lie_in_their_report_regime(gasket, cache, M):
             rep = by_name[name]
             assert rep.regime == name and rep.samples
             for t, i, j, *_ in rep.samples:
-                got = classify_regime(gasket, process, t, dist[i, j], M, alpha)
+                got = paper_regime(gasket, process, t, dist[i, j], M, alpha)
                 assert got == name, (process, name, t, dist[i, j])

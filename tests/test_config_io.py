@@ -13,6 +13,7 @@ from fractalheat.config import (
     parse_translations,
 )
 from fractalheat.exact import Q3, Vec2
+from fractalheat.subordinators import SubordinatorSpec
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -159,6 +160,17 @@ class TestRunConfig:
         bad.write_text(text)
         with pytest.raises(ConfigError, match="budget"):
             load_run_config(bad)
+
+    def test_subordinators_default_without_the_section(self, tmp_path):
+        run = tmp_path / "run.ini"
+        run.write_text(f"[run]\nfractal = {CONFIGS / 'gasket.ini'}\n")
+        assert load_run_config(run).subordinators == [SubordinatorSpec("stable", 0.5)]
+
+    def test_empty_specs_rejected(self, tmp_path):
+        run = tmp_path / "run.ini"
+        run.write_text(f"[run]\nfractal = {CONFIGS / 'gasket.ini'}\n[subordinators]\nspecs =\n")
+        with pytest.raises(ConfigError, match="subordinator"):
+            load_run_config(run)
 
     def test_threshold_validation(self, tmp_path):
         base = (CONFIGS / "quick-run.ini").read_text()

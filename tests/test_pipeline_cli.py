@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fractalheat
 from fractalheat import kernels, pipeline
 from fractalheat.bounds import PLOT_PAIRS, ReflectionStudy
 from fractalheat.cli import _BLAS_VARS
@@ -428,6 +429,12 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["", ""]
         assert list((tmp_path / "out").glob("**/eig-*.npz"))  # the run was cold
+
+    def test_every_public_name_resolves(self):
+        # a name left in the lazy export table after its definition is gone
+        # fails only when it is read, so read them all
+        for name in fractalheat.__all__:
+            getattr(fractalheat, name)
 
     def test_validate_fractal_ok(self):
         proc = self._run("validate-fractal", "--config", str(CONFIGS / "gasket.ini"))
