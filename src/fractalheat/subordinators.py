@@ -33,6 +33,7 @@ independent reference.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,36 +333,41 @@ def stable_tail_constant(alpha: float) -> float:
 # Transform verification
 
 
-def _transform_panels(spec: SubordinatorSpec, t: float, lam: float):
+def _transform_panels(spec: SubordinatorSpec, t: float, lams):
     """Nodes ``s`` and weights ``w`` for ``int h(s) eta_t(ds)`` where ``h(s)``
-    is smooth and decays like ``exp(-lam s)``: the integral is
-    ``sum(w * s * h(s) * eta_t(s))``.  Gauss-Legendre panels in log s, one
-    row of 64 nodes per panel; no rows when the integrand underflows
-    everywhere.
+    is smooth and decays like ``exp(-lam s)``, for every ``lam`` of ``lams``
+    at once: each integral is ``sum(w * s * h(s) * eta_t(s))``.
+    Gauss-Legendre panels in log s, one row of 64 nodes per panel; no rows
+    when the integrand underflows everywhere.
 
     The panels start where the density underflows and stop where
-    ``exp(-(lambda + m^(1/alpha)) s)`` does; for ``lambda = 0`` on a stable
-    spec they stop where the tail mass ``c t s^(-alpha) / alpha`` falls below
-    1e-16.  They break at multiples of the scale ``t^(1/alpha)``, of the
-    saddle of the tilted integrand and at ``1/lambda``, and none is wider
-    than a decade.
+    ``exp(-(lambda + m^(1/alpha)) s)`` does for the smallest lambda; for
+    ``lambda = 0`` on a stable spec they stop where the tail mass
+    ``c t s^(-alpha) / alpha`` falls below 1e-16.  They break at multiples of
+    the scale ``t^(1/alpha)``, and for each lambda at multiples of the
+    saddle of its tilted integrand and at ``1/lambda``; none is wider than a
+    decade.  So the shared panels refine each lambda's own, and past a
+    lambda's own upper end its integrand is at the underflow level.  With one
+    lambda they are that lambda's panels.
     """
     alpha = spec.alpha
     ratio = alpha / (1.0 - alpha)
     scale = t ** (1.0 / alpha)
     shift = spec.m ** (1.0 / alpha) if spec.kind == "relativistic" else 0.0
     lo = scale * (_EXP_UNDERFLOW / ((1.0 - alpha) * alpha**ratio)) ** (-1.0 / ratio)
-    if lam + shift > 0:
-        hi = _EXP_UNDERFLOW / (lam + shift)
-    else:
-        hi = scale * (stable_tail_constant(alpha) / (alpha * 1e-16)) ** (1.0 / alpha)
+    hi = -math.inf
+    breaks = {scale * q for q in (0.01, 0.1, 1.0, 10.0)}
+    for lam in lams:
+        if lam + shift > 0:
+            hi = max(hi, _EXP_UNDERFLOW / (lam + shift))
+        else:
+            hi = max(hi, scale * (stable_tail_constant(alpha) / (alpha * 1e-16)) ** (1.0 / alpha))
+        if lam > 0:
+            saddle = t * alpha * (lam + shift) ** (alpha - 1.0)
+            breaks.update({saddle * q for q in (0.1, 1.0, 10.0)})
+            breaks.add(1.0 / lam)
     if hi <= lo:
         return np.empty((0, _GL_NODES.size)), np.empty((0, _GL_NODES.size))
-    breaks = {scale * q for q in (0.01, 0.1, 1.0, 10.0)}
-    if lam > 0:
-        saddle = t * alpha * (lam + shift) ** (alpha - 1.0)
-        breaks.update({saddle * q for q in (0.1, 1.0, 10.0)})
-        breaks.add(1.0 / lam)
     cuts = np.log([lo] + sorted(b for b in breaks if lo < b < hi) + [hi])
     edges = [cuts[:1]]
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -371,13 +377,22 @@ def _transform_panels(spec: SubordinatorSpec, t: float, lam: float):
     return np.exp(u), w
 
 
-def laplace_transform_numeric(spec: SubordinatorSpec, t: float, lam: float) -> float:
-    """``int exp(-lambda s) eta_t(ds)`` on the panels of ``_transform_panels``,
-    with one density call on all nodes."""
-    if lam < 0:
+def laplace_transform_numeric(spec: SubordinatorSpec, t: float, lam) -> float | np.ndarray:
+    """``int exp(-lambda s) eta_t(ds)`` for a float ``lam`` (a float back)
+    or a 1-D array of them (an array back), on the panels of
+    ``_transform_panels`` with one density call on all nodes.  Each lambda
+    sums ``((w * s) * exp(-lambda s)) * eta_t(s)`` over the shared nodes; a
+    float or a one-element array gets exactly its own panels."""
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise SubordinatorError("transform takes a float or a 1-D array of lambda")
+    if np.any(lams < 0):
         raise SubordinatorError("transform requires lambda >= 0")
-    s, w = _transform_panels(spec, t, lam)
-    return float(np.sum(w * s * np.exp(-lam * s) * spec.density(t, s)))
+    lam_list = lams.reshape(-1).tolist()
+    s, w = _transform_panels(spec, t, lam_list)
+    ws, dens = w * s, spec.density(t, s)
+    out = np.array([np.sum(ws * np.exp(-l * s) * dens) for l in lam_list])
+    return float(out[0]) if lams.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -444,26 +459,43 @@ def verify_density(
     """Transform-identity check plus tail-constant report.
 
     Compares the quadrature transform of the density against
-    ``exp(-t phi(lambda))`` over the grid and fits the polynomial-tail
+    ``exp(-t phi(lambda))`` over the grid, one ``laplace_transform_numeric``
+    call (so one density call) per time, and fits the polynomial-tail
     constants of the underlying stable density.
+
+    A grid can be measured where every exact value is a normal float, that
+    is ``t phi(lambda)`` below about 708: past it ``exp(-t phi(lambda))`` is
+    subnormal or 0, and a relative error against it means nothing.  Every
+    (t, lambda) is checked before any quadrature, and the first one past it
+    raises ``SubordinatorError``, as does an empty ``t_values`` or
+    ``lam_grid``.
     """
     if lam_grid is None:
         lam_grid = np.logspace(-3, 3, 13)
     lam_grid = tuple(float(l) for l in lam_grid)
+    t_values = tuple(float(t) for t in t_values)
+    if not lam_grid or not t_values:
+        raise SubordinatorError("transform check needs at least one time and one lambda")
     if any(l <= 0 for l in lam_grid):
         raise SubordinatorError("lambda grid must be positive")
+    exact = [[math.exp(-t * laplace_exponent(spec, lam)) for lam in lam_grid] for t in t_values]
+    for t, row in zip(t_values, exact):
+        for lam, value in zip(lam_grid, row):
+            if value < sys.float_info.min:
+                raise SubordinatorError(
+                    f"exp(-t phi(lambda)) underflows at t = {t:g}, lambda = {lam:g}: "
+                    f"t phi(lambda) = {t * laplace_exponent(spec, lam):.6g}"
+                )
     worst = 0.0
-    for t in t_values:
-        for lam in lam_grid:
-            numeric = laplace_transform_numeric(spec, t, lam)
-            exact = math.exp(-t * laplace_exponent(spec, lam))
-            worst = max(worst, abs(numeric - exact) / exact)
+    for t, row in zip(t_values, exact):
+        numeric = laplace_transform_numeric(spec, t, np.array(lam_grid))
+        for value, ref in zip(numeric.tolist(), row):
+            worst = max(worst, abs(value - ref) / ref)
     tails = tuple(fit_tail_constants(spec, t) for t in t_values)
     return DensityVerification(
         spec=spec,
         max_rel_transform_error=worst,
-        t_values=tuple(float(t) for t in t_values),
+        t_values=t_values,
         lam_grid=lam_grid,
         tails=tails,
     )
-

@@ -138,6 +138,63 @@ class TestQuadratureEquivalence:
             )
 
 
+    def test_crosscheck_needs_a_time(self, gasket, cache):
+        kern = cache.kernel(gasket, 0, 2)
+        with pytest.raises(KernelError, match="time"):
+            crosscheck_subordination(kern, STABLE, times=(), n_samples=4)
+
+    @pytest.mark.parametrize("spec", [STABLE] + GENERAL, ids=lambda s: s.label())
+    @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+    def test_array_pairs_match_scalar_calls_bitwise(self, gasket, cache, spec, kind):
+        kern = cache.kernel(gasket, 1, 3, kind)
+        rng = np.random.default_rng(4)
+        i = rng.integers(0, kern.n, size=(3, 4))
+        j = rng.integers(0, kern.n, size=(3, 4))
+        for t in (0.3, 30.0):
+            got = subordinate_quadrature(kern, spec, t, i, j)
+            assert got.shape == (3, 4)
+            for a, b, value in zip(i.flat, j.flat, got.flat):
+                assert value == subordinate_quadrature(kern, spec, t, int(a), int(b))
+            # a scalar index broadcasts against an array, as in SpectralKernel.value
+            a = int(i[0, 0])
+            row = subordinate_quadrature(kern, spec, t, a, j[0])
+            assert row.tolist() == [
+                subordinate_quadrature(kern, spec, t, a, int(b)) for b in j[0]
+            ]
+
+    @pytest.mark.parametrize("spec", [STABLE, RELATIVISTIC] + GENERAL, ids=lambda s: s.label())
+    def test_max_error_matches_per_sample_loop_bitwise(self, gasket, cache, spec):
+        # the loop the per-time grouping replaced: one draw, one spectral
+        # value and one scalar quadrature per sample
+        kern = cache.kernel(gasket, 1, 3)
+        times, n_samples, seed = (0.5, 1.0, 2.0, 1.0), 10, 7
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for k in range(n_samples):
+            t = times[k % len(times)]
+            i = int(rng.integers(0, kern.n))
+            j = int(rng.integers(0, kern.n))
+            direct = kern.value(t, i, j, exponent=spec.laplace_exponent)
+            quadval = subordinate_quadrature(kern, spec, t, i, j)
+            worst = max(worst, abs(direct - quadval) / max(abs(direct), 1e-300))
+        report = crosscheck_subordination(kern, spec, times, n_samples=n_samples, seed=seed)
+        assert report.max_rel_error == worst
+        assert report.times == times
+
+    def test_one_density_call_per_distinct_time(self, gasket, cache, monkeypatch):
+        calls = []
+        density = SubordinatorSpec.density
+
+        def counted(spec, t, s):
+            calls.append(t)
+            return density(spec, t, s)
+
+        monkeypatch.setattr(SubordinatorSpec, "density", counted)
+        kern = cache.kernel(gasket, 1, 3)
+        crosscheck_subordination(kern, GENERAL[1], times=(0.5, 1.0, 2.0), n_samples=8)
+        assert calls == [0.5, 1.0, 2.0]
+
+
 class TestFlatApproach:
     def test_decay_rate_matches_gap_exponent(self, gasket, cache):
         kern = cache.kernel(gasket, 0, 4)

@@ -8,6 +8,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from fractalheat.subordinators import (
+    _EXP_UNDERFLOW,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _SERIES_EPS_SWITCH,
     SubordinatorError,
     SubordinatorSpec,
@@ -231,6 +234,120 @@ class TestTransformIdentity:
             lam_grid=np.logspace(-3, 3, 5),
         )
         assert report.max_rel_transform_error <= 1e-12
+
+
+    def test_empty_grids_rejected(self):
+        # a check over no points would report a residual of 0, a pass with
+        # nothing checked
+        spec = SubordinatorSpec("stable", 0.7)
+        with pytest.raises(SubordinatorError, match="at least one"):
+            verify_density(spec, lam_grid=())
+        with pytest.raises(SubordinatorError, match="at least one"):
+            verify_density(spec, t_values=())
+
+    @pytest.mark.parametrize(
+        "alpha, t, lam", [(0.7, 10.0, 1e3), (0.9, 2.0, 1e3), (0.95, 1.031, 1e3)]
+    )
+    def test_underflowed_exact_transform_rejected(self, alpha, t, lam, monkeypatch):
+        # exp(-t phi) is 0 at the first two and subnormal at the third
+        # (t phi = 730), where the quadrature reads 5e-7 off; each is named
+        # before any quadrature runs
+        calls = []
+        monkeypatch.setattr(
+            SubordinatorSpec, "density", lambda spec, t, s: calls.append(t)
+        )
+        t_phi = t * lam**alpha
+        with pytest.raises(SubordinatorError, match="underflows") as err:
+            verify_density(SubordinatorSpec("stable", alpha), t_values=(0.5, t),
+                           lam_grid=(1.0, lam))
+        assert f"t = {t:g}, lambda = {lam:g}" in str(err.value)
+        assert f"{t_phi:.6g}" in str(err.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("n_lam", [1, 5, 13])
+    def test_one_density_call_per_time(self, n_lam, monkeypatch):
+        calls = []
+        density = SubordinatorSpec.density
+
+        def counted(spec, t, s):
+            calls.append(t)
+            return density(spec, t, s)
+
+        monkeypatch.setattr(SubordinatorSpec, "density", counted)
+        t_values = (0.5, 1.0, 2.0)
+        verify_density(SubordinatorSpec("stable", 0.7), t_values=t_values,
+                       lam_grid=np.logspace(-3, 3, 13)[:n_lam])
+        assert calls == list(t_values)
+
+
+def _reference_transform_panels(spec, t, lam):
+    """One lambda's panels, written out as the per-lambda rule that the
+    shared panel set generalises: break at multiples of the scale, of the
+    saddle and at 1/lambda, no panel wider than a decade."""
+    alpha = spec.alpha
+    ratio = alpha / (1.0 - alpha)
+    scale = t ** (1.0 / alpha)
+    shift = spec.m ** (1.0 / alpha) if spec.kind == "relativistic" else 0.0
+    lo = scale * (_EXP_UNDERFLOW / ((1.0 - alpha) * alpha**ratio)) ** (-1.0 / ratio)
+    if lam + shift > 0:
+        hi = _EXP_UNDERFLOW / (lam + shift)
+    else:
+        hi = scale * (stable_tail_constant(alpha) / (alpha * 1e-16)) ** (1.0 / alpha)
+    if hi <= lo:
+        return np.empty((0, _GL_NODES.size)), np.empty((0, _GL_NODES.size))
+    breaks = {scale * q for q in (0.01, 0.1, 1.0, 10.0)}
+    if lam > 0:
+        saddle = t * alpha * (lam + shift) ** (alpha - 1.0)
+        breaks.update({saddle * q for q in (0.1, 1.0, 10.0)})
+        breaks.add(1.0 / lam)
+    cuts = np.log([lo] + sorted(b for b in breaks if lo < b < hi) + [hi])
+    edges = [cuts[:1]]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        edges.append(np.linspace(a, b, math.ceil((b - a) / math.log(10.0)) + 1)[1:])
+    edges = np.concatenate(edges)
+    lo_edge, hi_edge = edges[:-1, None], edges[1:, None]
+    u = lo_edge + (hi_edge - lo_edge) * _GL_NODES
+    return np.exp(u), (hi_edge - lo_edge) * _GL_WEIGHTS
+
+
+def _reference_transform(spec, t, lam):
+    s, w = _reference_transform_panels(spec, t, lam)
+    return float(np.sum(w * s * np.exp(-lam * s) * spec.density(t, s)))
+
+
+TRANSFORM_SPECS = [SubordinatorSpec("stable", a) for a in (0.3, 0.5, 0.7, 0.95)] + [
+    SubordinatorSpec("relativistic", 0.5, 1.0),
+    SubordinatorSpec("relativistic", 0.7, 1.0),
+]
+TRANSFORM_LAMBDAS = (0.0, 1e-3, 0.7, 1.0, 50.0)
+
+
+class TestSharedTransformPanels:
+    @pytest.mark.parametrize("spec", TRANSFORM_SPECS, ids=lambda s: s.label())
+    def test_scalar_transform_matches_per_lambda_rule_bitwise(self, spec):
+        for t in (0.1, 1.0, 3.0):
+            for lam in TRANSFORM_LAMBDAS:
+                ref = _reference_transform(spec, t, lam)
+                assert laplace_transform_numeric(spec, t, lam) == ref
+                one = laplace_transform_numeric(spec, t, np.array([lam]))
+                assert one.shape == (1,) and one[0] == ref
+
+    @pytest.mark.parametrize("spec", TRANSFORM_SPECS, ids=lambda s: s.label())
+    def test_array_transform_matches_per_lambda_rule(self, spec):
+        # the shared panels refine every lambda's own, so each value agrees
+        # with its own-panel transform to rounding
+        for t in (0.1, 1.0, 3.0):
+            got = laplace_transform_numeric(spec, t, np.array(TRANSFORM_LAMBDAS))
+            assert got.shape == (len(TRANSFORM_LAMBDAS),)
+            ref = [_reference_transform(spec, t, lam) for lam in TRANSFORM_LAMBDAS]
+            assert got == pytest.approx(ref, rel=2e-13, abs=0.0)
+
+    def test_array_transform_rejects_bad_lambda(self):
+        spec = SubordinatorSpec("stable", 0.7)
+        with pytest.raises(SubordinatorError, match="lambda >= 0"):
+            laplace_transform_numeric(spec, 1.0, np.array([1.0, -1.0]))
+        with pytest.raises(SubordinatorError, match="1-D"):
+            laplace_transform_numeric(spec, 1.0, np.ones((2, 2)))
 
 
 class TestTails:
