@@ -6,7 +6,9 @@ phi_k phi_k`` amounts to replacing the eigenvalue weights by
 subordinator density by the Laplace-transform identity.  The quadrature route
 checks that identity through different code: it integrates the heat kernel
 against the density on the fixed Gauss-Legendre panels of the transform
-check and never evaluates the Laplace exponent.
+check and never evaluates the Laplace exponent.  Its rule depends on the
+time alone, so the cross-check builds one per distinct time and applies it
+to every sampled pair at that time.
 """
 
 from __future__ import annotations

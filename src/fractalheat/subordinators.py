@@ -26,7 +26,11 @@ between 0 and those two angles integrate it to rounding.  Where
 large-argument series takes over.  The transform check and the
 subordinate-kernel cross-check in ``subordinate.py`` integrate against the
 density on the same Gauss-Legendre panels in log s, with one density call
-per integral.  Adaptive scalar ``quad`` stays only in the tests, as an
+per time: the transform check shares one panel set over its lambda grid,
+and the cross-check builds one rule per time for all of its pairs.  Since
+a node's density does not depend on the other nodes of the call, a node
+the shared panels have in common with one lambda's own gets the same value
+either way.  Adaptive scalar ``quad`` stays only in the tests, as an
 independent reference.
 """
 
@@ -386,7 +390,7 @@ def laplace_transform_numeric(spec: SubordinatorSpec, t: float, lam) -> float | 
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1:
         raise SubordinatorError("transform takes a float or a 1-D array of lambda")
-    if np.any(lams < 0):
+    if not np.all(lams >= 0):  # NaN fails too
         raise SubordinatorError("transform requires lambda >= 0")
     lam_list = lams.reshape(-1).tolist()
     s, w = _transform_panels(spec, t, lam_list)
@@ -468,7 +472,7 @@ def verify_density(
     subnormal or 0, and a relative error against it means nothing.  Every
     (t, lambda) is checked before any quadrature, and the first one past it
     raises ``SubordinatorError``, as does an empty ``t_values`` or
-    ``lam_grid``.
+    ``lam_grid`` or a time or lambda that is not positive (NaN included).
     """
     if lam_grid is None:
         lam_grid = np.logspace(-3, 3, 13)
@@ -476,8 +480,10 @@ def verify_density(
     t_values = tuple(float(t) for t in t_values)
     if not lam_grid or not t_values:
         raise SubordinatorError("transform check needs at least one time and one lambda")
-    if any(l <= 0 for l in lam_grid):
+    if not all(l > 0 for l in lam_grid):  # NaN fails too
         raise SubordinatorError("lambda grid must be positive")
+    if not all(t > 0 for t in t_values):
+        raise SubordinatorError("times must be positive")
     exact = [[math.exp(-t * laplace_exponent(spec, lam)) for lam in lam_grid] for t in t_values]
     for t, row in zip(t_values, exact):
         for lam, value in zip(lam_grid, row):

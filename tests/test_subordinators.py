@@ -342,10 +342,17 @@ class TestSharedTransformPanels:
             ref = [_reference_transform(spec, t, lam) for lam in TRANSFORM_LAMBDAS]
             assert got == pytest.approx(ref, rel=2e-13, abs=0.0)
 
-    def test_array_transform_rejects_bad_lambda(self):
+    def test_bad_lambda_or_time_rejected(self):
+        # a NaN among good values must not vanish into the shared panels
         spec = SubordinatorSpec("stable", 0.7)
-        with pytest.raises(SubordinatorError, match="lambda >= 0"):
-            laplace_transform_numeric(spec, 1.0, np.array([1.0, -1.0]))
+        for bad in (-1.0, math.nan):
+            with pytest.raises(SubordinatorError, match="lambda >= 0"):
+                laplace_transform_numeric(spec, 1.0, np.array([1.0, bad]))
+            with pytest.raises(SubordinatorError, match="positive"):
+                verify_density(spec, t_values=(1.0,), lam_grid=(bad, 1.0))
+        for bad in (0.0, math.nan):
+            with pytest.raises(SubordinatorError, match="times must be positive"):
+                verify_density(spec, t_values=(1.0, bad), lam_grid=(1.0,))
         with pytest.raises(SubordinatorError, match="1-D"):
             laplace_transform_numeric(spec, 1.0, np.ones((2, 2)))
 
