@@ -7,7 +7,7 @@ claim reports the min/max ratio.  Small depths keep this demo under a
 minute; the acceptance suite runs the full-size version.
 """
 
-from fractalheat import default_cache, sierpinski_gasket
+from fractalheat import KernelCache, sierpinski_gasket
 from fractalheat.bounds import (
     ReflectionStudy,
     relativistic_comparison_reports,
@@ -16,7 +16,7 @@ from fractalheat.bounds import (
 )
 
 gasket = sierpinski_gasket()
-cache = default_cache()
+cache = KernelCache()
 study = ReflectionStudy.build(gasket, M=1, depth=3, window=2, cache=cache)
 # the grids, thresholds and seed of configs/default-run.ini, on 8 times
 settings = dict(n_times=8, t_min=0.1, flat_span=10.0, spread_threshold=10.0, seed=20240801)

@@ -26,7 +26,7 @@ for i, p in enumerate(fixed_points(gasket), start=1):
     print(f"  map {i}: {p}")
 
 print("\n== axiom validation ==")
-print(validate_snf(gasket, depth=4).summary())
+print(validate_snf(gasket).summary())
 
 print("\n== cells of K<<1>> at level 0 ==")
 for cell in enumerate_cells(gasket, 1, 0):
@@ -49,6 +49,6 @@ translations = [
 ]
 broken = build_system(
     "perturbed", 2, translations, walk_dim=2.0, chemical_exp=2.0,
-    essential_override=list(gasket.essential_vertices),
+    osc_attested=True, essential_override=list(gasket.essential_vertices),
 )
-print(validate_snf(broken, depth=3).summary())
+print(validate_snf(broken).summary())

@@ -10,9 +10,9 @@ with the preimage sum of the window kernel.
 import numpy as np
 
 from fractalheat import (
+    KernelCache,
     build_good_labeling,
     check_scaling_property,
-    default_cache,
     estimate_walk_dimension,
     folding_crosscheck,
     sierpinski_gasket,
@@ -20,15 +20,15 @@ from fractalheat import (
 )
 
 gasket = sierpinski_gasket()
-cache = default_cache()
+cache = KernelCache()
 
 print("== exit-time scaling ==")
-est = estimate_walk_dimension(gasket, 6, cache=cache)
+est = estimate_walk_dimension(gasket, 6)
 for n, (t, r) in enumerate(zip(est.exit_times, est.ratios)):
     print(f"  depth {n}: T = {t:12.4f}   T(n+1)/T(n) = {r:.5f}")
 print(f"  walk dimension estimate: {est.estimate:.5f}  (log5/log2 = 2.32193)")
 
-est_i = estimate_walk_dimension(unit_interval_system(), 5, cache=cache)
+est_i = estimate_walk_dimension(unit_interval_system(), 5)
 print(f"  interval ratios -> 4: {[round(r, 4) for r in est_i.ratios]}")
 
 print("\n== kernel sanity at (M=0, depth 4) ==")

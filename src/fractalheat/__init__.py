@@ -43,7 +43,6 @@ _EXPORTS = {
         "WalkDimensionEstimate",
         "build_generator",
         "check_scaling_property",
-        "default_cache",
         "estimate_walk_dimension",
         "folding_crosscheck",
         "spectral_decompose",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 _BLAS_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -59,22 +60,18 @@ def main(argv=None) -> int:
     _pin_blas()
     args = build_parser().parse_args(argv)
 
-    from .config import ConfigError, load_fractal_config, load_run_config
+    from .config import ConfigError, _parse_ini, load_fractal_config, load_run_config
 
     try:
         if args.command == "validate-fractal":
             # accept either a fractal config or a run config pointing at one
-            import configparser
-
-            probe = configparser.ConfigParser()
-            probe.read(args.config)
-            if "fractal" in probe:
+            if "fractal" in _parse_ini(Path(args.config))[1]:
                 system = load_fractal_config(args.config)
             else:
                 system = load_run_config(args.config).system
             from .geometry import validate_snf
 
-            report = validate_snf(system, depth=3)
+            report = validate_snf(system)
             print(report.summary())
             return 0 if report.ok else 1
 

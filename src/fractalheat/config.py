@@ -1,9 +1,10 @@
 """Config parsing: fractal descriptions and pipeline run settings.
 
-Both files are INI-style (key = value under sections).  Coordinates are
-exact: each component is a rational, optionally plus a rational multiple of
-sqrt3, e.g. ``1/4,1/4*sqrt3``.  Dimension entries accept a float literal,
-``log(p)/log(q)``, ``dw`` (for d_J), or ``estimate``.
+Both files are INI-style (key = value under sections), read by one strict
+reader.  Coordinates are exact: each component is a rational, optionally
+plus a rational multiple of sqrt3, e.g. ``1/4,1/4*sqrt3``.  Dimension
+entries accept a float literal, ``log(p)/log(q)``, ``dw`` (for d_J), or
+``estimate``.
 """
 
 from __future__ import annotations
@@ -27,25 +28,36 @@ class ConfigError(ValueError):
     pass
 
 
-_LOG_RE = re.compile(r"^log\((\d+)\)\s*/\s*log\((\d+)\)$")
+_LOG_RE = re.compile(r"^log\(([^()]+)\)\s*/\s*log\(([^()]+)\)$")
 
 
-def parse_dimension(text: str, dw_value: float | None = None) -> float | str:
+def parse_dimension(text: str) -> float | str:
+    """``estimate``, or a positive finite float literal or ``log(p)/log(q)``
+    with rational p, q > 0 and q != 1 (as ``log(90/7)/log(3)``)."""
     s = text.strip().lower()
     if s == "estimate":
         return "estimate"
-    if s == "dw":
-        if dw_value is None:
-            raise ConfigError("dj = dw requires dw to be resolved first")
-        return dw_value
     m = _LOG_RE.match(s)
-    if m:
-        p, q = int(m.group(1)), int(m.group(2))
-        return math.log(p) / math.log(q)
     try:
-        return float(s)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse dimension value {text!r}") from exc
+        if m:
+            p, q = Fraction(m.group(1)), Fraction(m.group(2))
+            if p <= 0 or q <= 0 or q == 1:
+                raise ValueError("log(p)/log(q) needs p > 0, q > 0 and q != 1")
+            value = math.log(p) / math.log(q)
+        else:
+            value = float(s)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"cannot parse dimension value {text!r}: {exc}") from exc
+    if not 0 < value < math.inf:
+        raise ConfigError(f"dimension value {text!r} must be positive and finite")
+    return value
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean") from None
 
 
 def parse_translations(text: str) -> list[Vec2]:
@@ -58,32 +70,81 @@ def parse_translations(text: str) -> list[Vec2]:
     return out
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return value
+
+
+def _finites(text: str) -> tuple[float, ...]:
+    return tuple(_finite(x) for x in text.split(","))
+
+
+def _parse_ini(path: Path) -> tuple[str, configparser.ConfigParser]:
+    """The text and sections of an INI file, values verbatim; a missing file,
+    malformed INI or a [DEFAULT] section raises ConfigError."""
+    if not path.is_file():
+        raise ConfigError(f"config not found: {path}")
+    text = path.read_text()
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
+    return text, parser
+
+
+def _read_ini(path: Path, table, required) -> tuple[str, dict]:
+    """The text of an INI file and its settings, ``field: cast(value)`` for
+    each (section, key, field, cast) of ``table`` it sets.  An unknown
+    section or key, a ``required`` field left out and a value that does not
+    parse or is not finite raise ConfigError naming the file and the key."""
+    text, parser = _parse_ini(path)
+    known = {(section, key) for section, key, _, _ in table}
+    for section in parser.sections():
+        if section not in {s for s, _ in known}:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        unknown = sorted(key for key in parser[section] if (section, key) not in known)
+        if unknown:
+            raise ConfigError(f"{path}: unknown key {', '.join(unknown)} in [{section}]")
+    settings = {}
+    for section, key, name, cast in table:
+        if section in parser and key in parser[section]:
+            try:
+                settings[name] = cast(parser[section][key])
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
+        elif name in required:
+            raise ConfigError(f"{path}: [{section}] is missing {key}")
+    return text, settings
+
+
+# (section, key, field, cast) for every key a fractal config may set;
+# configparser lowercases the keys N and L
+_FRACTAL_KEYS = (
+    ("fractal", "name", "name", str),
+    ("fractal", "n", "n_maps", int),
+    ("fractal", "l", "L", Fraction),
+    ("fractal", "translations", "translations", parse_translations),
+    ("fractal", "dw", "dw", parse_dimension),
+    ("fractal", "dj", "dj", lambda text: "dw" if text.lower() == "dw" else parse_dimension(text)),
+    ("fractal", "osc_attested", "osc_attested", _boolean),
+)
+
+
 def load_fractal_config(path: str | Path) -> FractalSystem:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"fractal config not found: {path}")
-    parser = configparser.ConfigParser()
-    parser.read(path)
-    if "fractal" not in parser:
-        raise ConfigError(f"{path}: missing [fractal] section")
-    sec = parser["fractal"]
-    for required in ("N", "L", "translations", "dw"):
-        if sec.get(required) is None:
-            raise ConfigError(f"{path}: [fractal] is missing {required!r}")
-    try:
-        name = sec.get("name", path.stem)
-        n_declared = sec.getint("N")
-        L = Fraction(sec.get("L"))
-        translations = parse_translations(sec.get("translations"))
-        dw = parse_dimension(sec.get("dw"))
-        dj_text = sec.get("dj", "dw")
-        osc = sec.getboolean("osc_attested", fallback=False)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if len(translations) != n_declared:
+    _, s = _read_ini(path, _FRACTAL_KEYS, required=("n_maps", "L", "translations", "dw"))
+    name, L, translations = s.get("name", path.stem), s["L"], s["translations"]
+    if len(translations) != s["n_maps"]:
         raise ConfigError(
-            f"{path}: N = {n_declared} but {len(translations)} translations given"
+            f"{path}: N = {s['n_maps']} but {len(translations)} translations given"
         )
+    osc = s.get("osc_attested", False)
+    dw = s["dw"]
     if dw == "estimate":
         # resolved by a walk-dimension estimate on a placeholder system
         from .kernels import estimate_walk_dimension
@@ -91,9 +152,9 @@ def load_fractal_config(path: str | Path) -> FractalSystem:
         probe = build_system(name, L, translations, walk_dim=2.0,
                              chemical_exp=2.0, osc_attested=osc)
         dw = estimate_walk_dimension(probe, 5).estimate
-    dj = parse_dimension(dj_text, float(dw))
-    if dj == "estimate":
-        dj = float(dw)
+    dj = s.get("dj", "dw")
+    if dj in ("dw", "estimate"):
+        dj = dw
     return build_system(
         name, L, translations, walk_dim=float(dw), chemical_exp=float(dj),
         osc_attested=osc,
@@ -101,20 +162,12 @@ def load_fractal_config(path: str | Path) -> FractalSystem:
 
 
 def parse_subordinator(text: str) -> SubordinatorSpec:
-    s = text.strip()
-    kind, _, rest = s.partition(":")
-    kind = kind.strip()
-    params = [p.strip() for p in rest.split(",") if p.strip()]
+    """``kind:p1,p2``; SubordinatorSpec checks the kind and its parameters."""
+    kind, _, params = text.partition(":")
     try:
-        if kind == "stable":
-            (alpha,) = params
-            return SubordinatorSpec("stable", float(alpha))
-        if kind == "relativistic":
-            alpha, m = params
-            return SubordinatorSpec("relativistic", float(alpha), float(m))
+        return SubordinatorSpec(kind.strip(), *(float(x) for x in params.split(",")))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad subordinator spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown subordinator kind in {text!r}")
 
 
 @dataclass
@@ -170,25 +223,20 @@ class RunConfig:
             raise ConfigError(f"kernel_times must be positive, got {self.kernel_times}")
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text.strip()!r} is not finite")
-    return value
+def _specs(text: str) -> list[SubordinatorSpec]:
+    return [parse_subordinator(s) for s in text.split(";") if s.strip()]
 
 
-def _finites(text: str) -> tuple[float, ...]:
-    return tuple(_finite(x) for x in text.split(","))
-
-
-# (section, key, field, cast) for every key a run config may set besides
-# [run] fractal and out and [subordinators] specs; a key left out keeps the
-# RunConfig default
+# (section, key, field, cast) for every key a run config may set; a key left
+# out keeps the RunConfig default
 _RUN_KEYS = (
+    ("run", "fractal", "fractal_path", Path),
+    ("run", "out", "out_dir", Path),
     ("run", "m", "M", int),
     ("run", "n", "n", int),
     ("run", "window", "window", int),
     ("run", "seed", "seed", int),
+    ("subordinators", "specs", "subordinators", _specs),
     ("grids", "n_times", "n_times", int),
     ("grids", "t_min", "t_min", _finite),
     ("grids", "flat_span", "flat_span", _finite),
@@ -203,54 +251,15 @@ _RUN_KEYS = (
 
 
 def load_run_config(path: str | Path, out_override=None) -> RunConfig:
-    """Parse and validate a run config; malformed INI, an unknown section or
-    key, a value that does not parse and a non-finite float all raise
-    ConfigError before the fractal config is read."""
+    """Parse and validate a run config, then load the fractal config it
+    names (relative to its directory), so every error of the run config is
+    raised before the fractal config is read."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"run config not found: {path}")
-    text = path.read_text()
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:  # a repeated key or section, a line outside one
-        raise ConfigError(f"{path}: {exc}") from exc
-    if "run" not in parser:
-        raise ConfigError(f"{path}: missing [run] section")
-    known = {"run": {"fractal", "out"}, "subordinators": {"specs"}, "grids": set(),
-             "thresholds": set()}
-    for section, key, _, _ in _RUN_KEYS:
-        known[section].add(key)
-    for section in parser.sections():
-        if section not in known:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = sorted(set(parser[section]) - known[section])
-        if unknown:
-            raise ConfigError(f"{path}: unknown key {', '.join(unknown)} in [{section}]")
-    run = parser["run"]
-    fractal_rel = run.get("fractal")
-    if fractal_rel is None:
-        raise ConfigError(f"{path}: [run] must name a fractal config")
-    fractal_path = (path.parent / fractal_rel).resolve()
-
-    settings = {}
-    if "subordinators" in parser:
-        specs = parser["subordinators"].get("specs", "").split(";")
-        settings["subordinators"] = [parse_subordinator(s) for s in specs if s.strip()]
-    for section, key, name, cast in _RUN_KEYS:
-        if section in parser and key in parser[section]:
-            try:
-                settings[name] = cast(parser[section][key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
-    out = out_override or run.get("out")
-    if out is not None:
-        settings["out_dir"] = Path(out)
-    cfg = RunConfig(
-        fractal_path=fractal_path,
-        system=load_fractal_config(fractal_path),
-        raw_text=text,
-        **settings,
-    )
+    text, settings = _read_ini(path, _RUN_KEYS, required=("fractal_path",))
+    settings["fractal_path"] = (path.parent / settings["fractal_path"]).resolve()
+    if out_override:
+        settings["out_dir"] = Path(out_override)
+    cfg = RunConfig(system=None, raw_text=text, **settings)
     cfg.validate()
+    cfg.system = load_fractal_config(cfg.fractal_path)
     return cfg

@@ -68,7 +68,7 @@ class FractalSystem:
     hausdorff_dim: float
     walk_dim: float
     chemical_exp: float
-    osc_attested: bool = True
+    osc_attested: bool
 
     @property
     def n_maps(self) -> int:
@@ -100,7 +100,8 @@ def build_system(
     translations: list[Vec2],
     walk_dim: float,
     chemical_exp: float,
-    osc_attested: bool = True,
+    *,
+    osc_attested: bool,
     essential_override: list[Vec2] | None = None,
 ) -> FractalSystem:
     """Assemble and structurally validate the system of maps ``x/L + nu``
@@ -190,6 +191,7 @@ def sierpinski_gasket() -> FractalSystem:
         translations,
         walk_dim=GASKET_DW,
         chemical_exp=GASKET_DW,
+        osc_attested=True,
     )
 
 
@@ -197,7 +199,7 @@ def unit_interval_system() -> FractalSystem:
     """Two-map system on a segment: attractor [0,1] x {0}, K = 2, d_w = 2."""
     translations = [Vec2.ZERO, Vec2.of(Fraction(1, 2), 0)]
     return build_system(
-        "unit-interval", 2, translations, walk_dim=2.0, chemical_exp=2.0
+        "unit-interval", 2, translations, walk_dim=2.0, chemical_exp=2.0, osc_attested=True
     )
 
 
@@ -405,19 +407,20 @@ def _overlap_witness(hull_a: list[Vec2], hull_b: list[Vec2]) -> Vec2 | None:
     return None
 
 
-def validate_snf(system: FractalSystem, depth: int = 3) -> SnfReport:
+SNF_DEPTH = 3  # the nesting check compares the vertex sets of depth-3 cells
+
+
+def validate_snf(system: FractalSystem) -> SnfReport:
     """Check the nested-fractal axioms at finite resolution, exactly.
 
     * nesting: pairwise cell intersections match corner-image intersections,
-      both on depth-``depth`` vertex sets and geometrically (no hull-interior
+      both on depth-``SNF_DEPTH`` vertex sets and geometrically (no hull-interior
       overlap, no shared boundary segments);
     * symmetry: the family of corner-image sets is closed under every
       bisector reflection of essential-vertex pairs;
     * connectivity: the one-step cell graph is connected;
     * open set condition: reported as asserted by configuration.
     """
-    if depth < 1:
-        raise FractalError("validation depth must be >= 1")
     results: list[AxiomResult] = []
     v0 = list(system.essential_vertices)
 
@@ -430,7 +433,7 @@ def validate_snf(system: FractalSystem, depth: int = 3) -> SnfReport:
     )
 
     # Nesting
-    deep = vertices_at_depth(system, depth - 1)
+    deep = vertices_at_depth(system, SNF_DEPTH - 1)
     child_vertices = [frozenset(m(p) for p in deep) for m in system.maps]
     child_corners = [frozenset(m(v) for v in v0) for m in system.maps]
     child_hulls = [_hull(list(c)) for c in child_corners]

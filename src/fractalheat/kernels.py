@@ -117,7 +117,6 @@ class SpectralKernel:
 
     def __post_init__(self):
         self.sqrt_mu = np.sqrt(self.mu)
-        self._psi_dot_mu = self.psi.T @ (self.sqrt_mu)
 
     @property
     def n(self) -> int:
@@ -183,13 +182,11 @@ class SpectralKernel:
         g = dot[..., 0, 0] / (self.sqrt_mu[i] * self.sqrt_mu[j])
         return float(g) if np.ndim(g) == 0 else g
 
-    def row_mass(self, t: float, exponent=None) -> np.ndarray:
-        """``sum_y g(t, x, y) mu(y)`` for every x (1.0 when conservative)."""
-        w = self.weights(t, exponent)
-        return (self.psi * w) @ self._psi_dot_mu / self.sqrt_mu
-
     def conservativeness_residual(self, t: float, exponent=None) -> float:
-        return float(np.abs(self.row_mass(t, exponent) - 1.0).max())
+        """``max_x |sum_y g(t, x, y) mu(y) - 1|`` (0 when conservative)."""
+        w = self.weights(t, exponent)
+        row_mass = (self.psi * w) @ (self.psi.T @ self.sqrt_mu) / self.sqrt_mu
+        return float(np.abs(row_mass - 1.0).max())
 
 
 def _symmetric_eigh(
@@ -536,13 +533,6 @@ class KernelCache:
             raise
 
 
-_DEFAULT_CACHE = KernelCache()
-
-
-def default_cache() -> KernelCache:
-    return _DEFAULT_CACHE
-
-
 def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
     """Kernel of the walk killed at the global corners of ``K<<M>>``, over
     every vertex of ``graph``: the eigenvectors vanish at the corners, so
@@ -645,9 +635,7 @@ def absorbing_exit_time(
     return float(sol[np.count_nonzero(free[:start])])
 
 
-def estimate_walk_dimension(
-    system: FractalSystem, n_max: int, cache: KernelCache | None = None
-) -> WalkDimensionEstimate:
+def estimate_walk_dimension(system: FractalSystem, n_max: int) -> WalkDimensionEstimate:
     """Exit-time scaling of the unscaled walk from the base cell.
 
     The walk starts at the first essential corner of ``K<<0>>`` and is
@@ -656,10 +644,9 @@ def estimate_walk_dimension(
     """
     if n_max < 1:
         raise KernelError("need n_max >= 1 for a ratio")
-    cache = cache or _DEFAULT_CACHE
     times = []
     for depth in range(n_max + 1):
-        graph = cache.graph(system, 0, depth)
+        graph = build_vertex_graph(system, 0, depth)
         corners = graph.corner_indices()
         times.append(absorbing_exit_time(graph, corners[0], corners[1:]))
     ratios = tuple(times[i + 1] / times[i] for i in range(len(times) - 1))
@@ -680,18 +667,15 @@ class ScalingCheck:
     times: tuple[float, ...]
 
 
+SCALING_PAIRS = 300
+SCALING_SEED = 0
+
+
 def check_scaling_property(
-    system: FractalSystem,
-    M: int,
-    depth: int,
-    times,
-    max_pairs: int = 300,
-    seed: int = 0,
-    cache: KernelCache | None = None,
+    system: FractalSystem, M: int, depth: int, times, cache: KernelCache
 ) -> ScalingCheck:
     """Compare ``g_M`` at depth ``n`` with ``L^d g_{M+1}(L^(d_w) t, Lx, Ly)``
     at depth ``n+1`` over matched vertex pairs."""
-    cache = cache or _DEFAULT_CACHE
     coarse = cache.kernel(system, M, depth)
     fine = cache.kernel(system, M + 1, depth + 1)
     lf = float(system.L)
@@ -704,9 +688,9 @@ def check_scaling_property(
     )
     if (mapped < 0).any():
         raise KernelError("a scaled coarse-graph point is not a fine-graph point")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SCALING_SEED)
     n = coarse_graph.n_vertices
-    n_pairs = min(max_pairs, n * n)
+    n_pairs = min(SCALING_PAIRS, n * n)
     i, j = rng.integers(0, n, size=(n_pairs, 2)).T
     worst = 0.0
     for t in times:

@@ -37,6 +37,7 @@ from .geometry import validate_snf
 from .kernels import KernelCache
 from .labeling import build_good_labeling
 from .subordinate import crosscheck_subordination
+from .subordinators import CHECK_TIMES
 
 STAGES = ("validate", "labeling", "spectral", "subordinate", "verify", "report")
 
@@ -117,7 +118,7 @@ class PipelineState:
 
 def _stage_validate(state: PipelineState) -> None:
     cfg = state.config
-    report = validate_snf(cfg.system, depth=3)
+    report = validate_snf(cfg.system)
     payload = {
         "fractal": cfg.system.name,
         "axioms": {
@@ -178,7 +179,7 @@ def _stage_subordinate(state: PipelineState) -> None:
     for spec in cfg.subordinators:
         _write_table(state, f"tables/subordinate_{_file_stem(spec.label())}.csv", folded, spec)
         check = crosscheck_subordination(
-            folded, spec, times=[0.5, 1.0, 2.0],
+            folded, spec, times=CHECK_TIMES,
             n_samples=cfg.crosscheck_samples, seed=cfg.seed,
         )
         payload[spec.label()] = {

@@ -80,8 +80,8 @@ def crosscheck_subordination(
     kernel: SpectralKernel,
     spec: SubordinatorSpec,
     times,
-    n_samples: int = 20,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> EquivalenceReport:
     """Spectral mapping vs quadrature on a seeded (t, x, y) sample.
 

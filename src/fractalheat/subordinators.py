@@ -77,8 +77,8 @@ class SubordinatorSpec:
         if not 0.0 < self.alpha < 1.0:
             raise SubordinatorError(f"alpha must be in (0,1), got {self.alpha}")
         if self.kind == "relativistic":
-            if self.m is None or self.m <= 0:
-                raise SubordinatorError("relativistic subordinator needs m > 0")
+            if self.m is None or not 0 < self.m < math.inf:
+                raise SubordinatorError(f"relativistic needs a finite m > 0, got {self.m}")
         elif self.m is not None:
             raise SubordinatorError("stable subordinator takes no mass parameter")
 
@@ -455,9 +455,12 @@ def fit_tail_constants(
     )
 
 
+CHECK_TIMES = (0.5, 1.0, 2.0)  # a run's transform and cross-check times
+
+
 def verify_density(
     spec: SubordinatorSpec,
-    t_values=(0.5, 1.0, 2.0),
+    t_values=CHECK_TIMES,
     lam_grid=None,
 ) -> DensityVerification:
     """Transform-identity check plus tail-constant report.

@@ -55,7 +55,7 @@ def test_criterion_01_geometry_exactness(gasket, cache):
     formula_ok = all(counts[n] == gasket_vertex_count(n) for n in range(8))
     # the 2187-cell gasket graph has exactly 3282 vertices
     big_ok = counts[7] == 3282
-    snf_ok = validate_snf(gasket, depth=3).ok
+    snf_ok = validate_snf(gasket).ok
     translations = [
         Vec2.ZERO,
         Vec2.of(Fraction(1, 2) - Fraction(1, 100), 0),
@@ -63,9 +63,9 @@ def test_criterion_01_geometry_exactness(gasket, cache):
     ]
     broken = build_system(
         "perturbed", 2, translations, walk_dim=2.0, chemical_exp=2.0,
-        essential_override=list(gasket.essential_vertices),
+        osc_attested=True, essential_override=list(gasket.essential_vertices),
     )
-    nesting = validate_snf(broken, depth=3).result("nesting")
+    nesting = validate_snf(broken).result("nesting")
     perturbed_ok = (not nesting.passed) and "witness" in nesting.detail
     elapsed = time.perf_counter() - t0
     _line(
@@ -94,9 +94,9 @@ def test_criterion_02_good_labeling(gasket, cache):
     _line(2, "good labeling", elapsed < 5.0, "; ".join(details) + f", {elapsed:.2f}s")
 
 
-def test_criterion_03_walk_dimension(gasket, cache):
+def test_criterion_03_walk_dimension(gasket):
     t0 = time.perf_counter()
-    est = estimate_walk_dimension(gasket, 6, cache=cache)
+    est = estimate_walk_dimension(gasket, 6)
     ratio_by_5 = est.ratios[4]
     ratio_ok = abs(ratio_by_5 - 5.0) / 5.0 <= 0.01
     target = math.log(5) / math.log(2)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,12 @@ from fractalheat.exact import Q3, Vec2
 from fractalheat.subordinators import SubordinatorSpec
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+
+# the shipped gasket config with an estimated walk dimension, so a reader
+# that computed before refusing would build graphs
+GASKET_ESTIMATE = (CONFIGS / "gasket.ini").read_text().replace(
+    "dw = log(5)/log(2)", "dw = estimate"
+)
 
 
 class TestFractalConfig:
@@ -60,6 +67,63 @@ class TestFractalConfig:
         assert system.walk_dim == pytest.approx(2.0, abs=0.05)
         assert system.chemical_exp == pytest.approx(system.walk_dim)
 
+    def test_osc_attested_defaults_to_false(self, tmp_path):
+        cfg = tmp_path / "interval.ini"
+        cfg.write_text("[fractal]\nN = 2\nL = 2\ntranslations = 0,0 ; 1/2,0\ndw = 2\n")
+        system = load_fractal_config(cfg)
+        assert not system.osc_attested
+        assert system.name == "interval" and system.chemical_exp == 2.0
+
+    def test_rational_log_dimension(self, tmp_path):
+        cfg = tmp_path / "gasket.ini"
+        cfg.write_text(GASKET_ESTIMATE.replace("dw = estimate", "dw = log(90/7)/log(3)"))
+        assert load_fractal_config(cfg).walk_dim == math.log(90 / 7) / math.log(3)
+
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [
+            ("osc_attested", "osc_atested", "osc_atested"),
+            ("dj = dw", "dj = dw\n[fractals]\nN = 3", "[fractals]"),
+            ("dj = dw", "dj = dw\ndw = 2", "'dw'"),
+            ("dw = estimate", "dw = nan", "dw"),
+            ("dw = estimate", "dw = log(2)/log(1)", "dw"),
+            ("dj = dw", "dj = -3", "dj"),
+            ("[fractal]", "[DEFAULT]\ndj = dw\n[fractal]", "[DEFAULT]"),
+            ("N = 3", "N = three", "n"),
+            ("L = 2", "L = 1/0", "l"),
+            ("osc_attested = true", "osc_attested = maybe", "osc_attested"),
+            ("N = 3\n", "", "n"),
+        ],
+    )
+    def test_strict_reader_refuses_before_any_graph(self, tmp_path, monkeypatch, old, new, name):
+        def no_graphs(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr("fractalheat.kernels.build_vertex_graph", no_graphs)
+        text = GASKET_ESTIMATE.replace(old, new)
+        assert text != GASKET_ESTIMATE
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        with pytest.raises(ConfigError) as excinfo:
+            load_fractal_config(bad)
+        assert str(bad) in str(excinfo.value) and name in str(excinfo.value)
+
+    def test_readme_ini_blocks_load(self, tmp_path):
+        # the documented formats stay loadable; a run block finds the
+        # shipped fractal configs next to it
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+        assert blocks
+        for name in ("gasket.ini", "interval.ini"):
+            (tmp_path / name).write_text((CONFIGS / name).read_text())
+        for k, block in enumerate(blocks):
+            path = tmp_path / f"block{k}.ini"
+            path.write_text(block)
+            if "[fractal]" in block:
+                load_fractal_config(path)
+            else:
+                load_run_config(path)
+
 
 class TestParsers:
     def test_dimension_forms(self):
@@ -68,9 +132,18 @@ class TestParsers:
         )
         assert parse_dimension("2.5") == 2.5
         assert parse_dimension("estimate") == "estimate"
-        assert parse_dimension("dw", 2.32) == 2.32
-        with pytest.raises(ConfigError):
-            parse_dimension("log(x)/log(2)")
+        assert parse_dimension("log(90/7)/log(3)") == math.log(90 / 7) / math.log(3)
+        assert parse_dimension(" LOG(5) / LOG(2) ") == math.log(5) / math.log(2)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["log(x)/log(2)", "log(2)/log(1)", "log(0)/log(2)", "log(-2)/log(3)",
+         "log(1/2)/log(2)", "log(1/0)/log(2)", "log(2)/log(1e999)", "nan", "inf",
+         "-inf", "-3", "0", "1e999", "dw", ""],
+    )
+    def test_dimension_refusals(self, text):
+        with pytest.raises(ConfigError, match="dimension value"):
+            parse_dimension(text)
 
     def test_translations(self):
         pts = parse_translations("0,0 ; 1/2,0 ; 1/4,1/4*sqrt3")
@@ -87,6 +160,11 @@ class TestParsers:
             parse_subordinator("gamma:1")
         with pytest.raises(ConfigError):
             parse_subordinator("relativistic:0.5")
+
+    @pytest.mark.parametrize("m", ["nan", "inf", "-inf", "0", "-1"])
+    def test_relativistic_mass_must_be_positive_and_finite(self, m):
+        with pytest.raises(ConfigError, match="finite m > 0"):
+            parse_subordinator(f"relativistic:0.5,{m}")
 
 
 class TestRunConfig:
@@ -150,6 +228,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as excinfo:
             load_run_config(bad)
         assert key in str(excinfo.value) or f"[{section}]" in str(excinfo.value)
+
+    def test_run_errors_come_before_the_fractal_config(self, tmp_path):
+        run = tmp_path / "run.ini"
+        run.write_text("[run]\nfractal = missing.ini\nn = 9\n")
+        with pytest.raises(ConfigError, match="depth n"):
+            load_run_config(run)
+
+    def test_fractal_errors_name_the_fractal_file(self, tmp_path):
+        fractal = tmp_path / "f.ini"
+        fractal.write_text(GASKET_ESTIMATE.replace("osc_attested", "osc_atested"))
+        run = tmp_path / "run.ini"
+        run.write_text("[run]\nfractal = f.ini\n")
+        with pytest.raises(ConfigError, match=r"f\.ini: unknown key osc_atested"):
+            load_run_config(run)
 
     def test_budget_guard(self, tmp_path):
         base = (CONFIGS / "quick-run.ini").read_text()

@@ -63,7 +63,9 @@ def test_essential_witness_exists(gasket):
 
 def test_single_map_system_rejected():
     with pytest.raises(FractalError):
-        build_system("lonely", 2, [Vec2.ZERO], walk_dim=2.0, chemical_exp=2.0)
+        build_system(
+            "lonely", 2, [Vec2.ZERO], walk_dim=2.0, chemical_exp=2.0, osc_attested=True
+        )
 
 
 def test_dimensions(gasket, interval):
@@ -77,11 +79,11 @@ def test_dimensions(gasket, interval):
 
 class TestValidation:
     def test_gasket_passes(self, gasket):
-        report = validate_snf(gasket, depth=3)
+        report = validate_snf(gasket)
         assert report.ok, report.summary()
 
     def test_interval_passes(self, interval):
-        report = validate_snf(interval, depth=3)
+        report = validate_snf(interval)
         assert report.ok
         assert report.result("connectivity").passed
 
@@ -93,9 +95,9 @@ class TestValidation:
         ]
         broken = build_system(
             "perturbed", 2, translations, walk_dim=2.0, chemical_exp=2.0,
-            essential_override=list(gasket.essential_vertices),
+            osc_attested=True, essential_override=list(gasket.essential_vertices),
         )
-        report = validate_snf(broken, depth=3)
+        report = validate_snf(broken)
         nesting = report.result("nesting")
         assert not nesting.passed
         assert "witness" in nesting.detail
@@ -108,9 +110,9 @@ class TestValidation:
         ]
         broken = build_system(
             "drifted", 2, translations, walk_dim=2.0, chemical_exp=2.0,
-            essential_override=list(gasket.essential_vertices),
+            osc_attested=True, essential_override=list(gasket.essential_vertices),
         )
-        report = validate_snf(broken, depth=3)
+        report = validate_snf(broken)
         assert [r.name for r in report.results if not r.passed] == ["symmetry", "connectivity"]
         assert report.result("symmetry").detail == (
             "reflection across bisector of ((0, 0), (1, 0)) maps cell 1 corners "
@@ -119,12 +121,8 @@ class TestValidation:
         assert report.result("connectivity").detail == "3 vertices unreachable"
 
     def test_osc_reported_as_asserted(self, gasket):
-        report = validate_snf(gasket, depth=2)
+        report = validate_snf(gasket)
         assert report.result("open-set").detail == "asserted by configuration"
-
-    def test_depth_precondition(self, gasket):
-        with pytest.raises(FractalError):
-            validate_snf(gasket, depth=0)
 
 
 class TestCells:

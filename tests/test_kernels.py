@@ -449,23 +449,23 @@ class TestFoldingCrosscheck:
 
 
 class TestWalkDimension:
-    def test_interval_closed_form(self, interval, cache):
+    def test_interval_closed_form(self, interval):
         # exact solution of the unit-rate walk on a path with 2^n edges,
         # reflecting start and absorbing far end: T_n = (4^n + 2^n) / 2
-        est = estimate_walk_dimension(interval, 5, cache=cache)
+        est = estimate_walk_dimension(interval, 5)
         for n, t in enumerate(est.exit_times):
             assert t == pytest.approx((4.0**n + 2.0**n) / 2.0, rel=1e-12)
         # ratios increase toward 4 with a 2^-n correction
         assert all(a < b for a, b in zip(est.ratios, est.ratios[1:]))
         assert est.ratios[-1] == pytest.approx((4**5 + 2**5) / (4**4 + 2**4), rel=1e-12)
 
-    def test_gasket_ratios_converge_to_five(self, gasket, cache):
-        est = estimate_walk_dimension(gasket, 6, cache=cache)
+    def test_gasket_ratios_converge_to_five(self, gasket):
+        est = estimate_walk_dimension(gasket, 6)
         assert abs(est.ratios[4] - 5.0) / 5.0 <= 0.01
         assert abs(est.estimate - math.log(5) / math.log(2)) <= 0.02
 
-    def test_ratios_monotone_stabilizing(self, gasket, cache):
-        est = estimate_walk_dimension(gasket, 6, cache=cache)
+    def test_ratios_monotone_stabilizing(self, gasket):
+        est = estimate_walk_dimension(gasket, 6)
         diffs = [abs(a - b) for a, b in zip(est.ratios, est.ratios[1:])]
         assert all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
 
@@ -482,8 +482,8 @@ class TestWalkDimension:
         with pytest.raises(KernelError, match="absorbing"):
             absorbing_exit_time(graph, corners[1], corners[1:])
 
-    def test_exit_time_scaling_factor(self, gasket, cache):
-        est = estimate_walk_dimension(gasket, 5, cache=cache)
+    def test_exit_time_scaling_factor(self, gasket):
+        est = estimate_walk_dimension(gasket, 5)
         assert est.exit_times[5] / est.exit_times[4] == pytest.approx(5.0, rel=0.02)
 
 

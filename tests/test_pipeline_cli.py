@@ -447,6 +447,17 @@ class TestCli:
         assert proc.returncode == 0
         assert "connectivity: pass" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "old, new", [("dj = dw", "dj = dw\ndw = 2"), ("osc_attested", "osc_atested")]
+    )
+    def test_validate_fractal_refuses_a_bad_fractal_config(self, tmp_path, old, new):
+        # a repeated key fails the probe that tells the two kinds apart
+        bad = tmp_path / "bad.ini"
+        bad.write_text((CONFIGS / "gasket.ini").read_text().replace(old, new))
+        proc = self._run("validate-fractal", "--config", str(bad))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error:") and str(bad) in proc.stderr
+
     def test_stage_flag_limits_outputs(self, tmp_path):
         # the subcommand chooses the last stage; there is no --stage flag
         cfg = _quick_config(tmp_path)
