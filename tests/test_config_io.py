@@ -80,22 +80,24 @@ class TestFractalConfig:
         assert load_fractal_config(cfg).walk_dim == math.log(90 / 7) / math.log(3)
 
     @pytest.mark.parametrize(
-        "old, new, name",
+        "old, new, problem",
         [
-            ("osc_attested", "osc_atested", "osc_atested"),
-            ("dj = dw", "dj = dw\n[fractals]\nN = 3", "[fractals]"),
-            ("dj = dw", "dj = dw\ndw = 2", "'dw'"),
-            ("dw = estimate", "dw = nan", "dw"),
-            ("dw = estimate", "dw = log(2)/log(1)", "dw"),
-            ("dj = dw", "dj = -3", "dj"),
-            ("[fractal]", "[DEFAULT]\ndj = dw\n[fractal]", "[DEFAULT]"),
-            ("N = 3", "N = three", "n"),
-            ("L = 2", "L = 1/0", "l"),
-            ("osc_attested = true", "osc_attested = maybe", "osc_attested"),
-            ("N = 3\n", "", "n"),
+            ("osc_attested", "osc_atested", "unknown key osc_atested"),
+            ("dj = dw", "dj = dw\n[fractals]\nN = 3", "unknown section [fractals]"),
+            ("dj = dw", "dj = dw\ndw = 2", "option 'dw'"),
+            ("dw = estimate", "dw = nan", "bad value for dw"),
+            ("dw = estimate", "dw = log(2)/log(1)", "bad value for dw"),
+            ("dj = dw", "dj = -3", "bad value for dj"),
+            ("[fractal]", "[DEFAULT]\ndj = dw\n[fractal]", "unknown section [DEFAULT]"),
+            ("N = 3", "N = three", "bad value for n"),
+            ("L = 2", "L = 1/0", "bad value for l"),
+            ("osc_attested = true", "osc_attested = maybe", "bad value for osc_attested"),
+            ("N = 3\n", "", "is missing n"),
         ],
     )
-    def test_strict_reader_refuses_before_any_graph(self, tmp_path, monkeypatch, old, new, name):
+    def test_strict_reader_refuses_before_any_graph(
+        self, tmp_path, monkeypatch, old, new, problem
+    ):
         def no_graphs(*args):
             raise AssertionError("a graph was built")
 
@@ -106,7 +108,7 @@ class TestFractalConfig:
         bad.write_text(text)
         with pytest.raises(ConfigError) as excinfo:
             load_fractal_config(bad)
-        assert str(bad) in str(excinfo.value) and name in str(excinfo.value)
+        assert str(bad) in str(excinfo.value) and problem in str(excinfo.value)
 
     def test_readme_ini_blocks_load(self, tmp_path):
         # the documented formats stay loadable; a run block finds the
