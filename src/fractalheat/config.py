@@ -70,17 +70,6 @@ def parse_translations(text: str) -> list[Vec2]:
     return out
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text.strip()!r} is not finite")
-    return value
-
-
-def _finites(text: str) -> tuple[float, ...]:
-    return tuple(_finite(x) for x in text.split(","))
-
-
 def _parse_ini(path: Path) -> tuple[str, configparser.ConfigParser]:
     """The text and sections of an INI file, values verbatim; a missing file,
     malformed INI or a [DEFAULT] section raises ConfigError."""
@@ -221,6 +210,17 @@ class RunConfig:
             raise ConfigError(f"flat_span must exceed 1, got {self.flat_span}")
         if any(t <= 0 for t in self.kernel_times):
             raise ConfigError(f"kernel_times must be positive, got {self.kernel_times}")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return value
+
+
+def _finites(text: str) -> tuple[float, ...]:
+    return tuple(_finite(x) for x in text.split(","))
 
 
 def _specs(text: str) -> list[SubordinatorSpec]:
