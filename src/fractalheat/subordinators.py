@@ -134,17 +134,6 @@ def _gl_panels(lo, hi):
     return lo[:, None] + width * _GL_NODES, width * _GL_WEIGHTS
 
 
-def _kanter_log_a(alpha: float, theta, sin_theta):
-    """log of the integrand kernel a(theta) on (0, pi); callers near pi pass
-    ``sin_theta`` as sin(pi - theta), which keeps its relative accuracy."""
-    one = 1.0 - alpha
-    return (
-        np.log(np.sin(one * theta))
-        + (alpha / one) * np.log(np.sin(alpha * theta))
-        - (1.0 / one) * np.log(sin_theta)
-    )
-
-
 def _solve_log_a(alpha: float, target: np.ndarray) -> np.ndarray:
     """w = -log(pi - theta) where log a(theta) = target, elementwise.
 
@@ -169,7 +158,7 @@ def _solve_log_a(alpha: float, target: np.ndarray) -> np.ndarray:
         -np.log(math.pi - np.minimum(theta_quad, 3.0)),
         one * target - math.log(math.sin(math.pi * alpha)),
     )
-    # log a of _kanter_log_a with its three angles (1-alpha) theta, alpha theta
+    # log a(theta) with its three angles (1-alpha) theta, alpha theta
     # and d stacked as rows, offset + per_d * d, so one sin and one tan pass
     # serve them all: log a = sum(log_weight * log sin(angle)) and
     # d log a / dw = d * sum(cot_weight * cot(angle))
@@ -192,6 +181,43 @@ def _solve_log_a(alpha: float, target: np.ndarray) -> np.ndarray:
     raise SubordinatorError("Kanter panel search did not converge")  # pragma: no cover
 
 
+def _kanter_panel(alpha: float, log_eps, lo, hi, rule, near_pi: bool, work):
+    """Each point's sum of ``w a(theta) exp(-a(theta) eps)`` over its own
+    Gauss-Legendre panel [lo, hi] of ``rule`` (nodes and weights on [0, 1]),
+    in theta, or with ``near_pi`` in d = pi - theta.  The integrand is
+    evaluated in place in ``work``, three (points x nodes) arrays:
+    log a = log sin((1-alpha) theta) + alpha/(1-alpha) log sin(alpha theta)
+    - 1/(1-alpha) log sin(theta), summed in that order.  Near pi, sin(theta)
+    is taken as sin(d), which keeps its relative accuracy."""
+    one = 1.0 - alpha
+    gl_nodes, gl_weights = rule
+    node, la, tmp = work
+    width = (hi - lo)[:, None]
+    np.multiply(width, gl_nodes, out=node)
+    node += lo[:, None]
+    # -(1/(1-alpha)) log sin(theta), with sin(theta) = sin(node) on both panels
+    np.sin(node, out=tmp)
+    np.log(tmp, out=tmp)
+    tmp *= 1.0 / one
+    theta = np.subtract(math.pi, node, out=node) if near_pi else node
+    np.multiply(one, theta, out=la)
+    np.sin(la, out=la)
+    np.log(la, out=la)
+    theta *= alpha
+    np.sin(theta, out=theta)
+    np.log(theta, out=theta)
+    theta *= alpha / one
+    la += theta
+    la -= tmp
+    # la is log a(theta); the integrand is exp(la - exp(la + log eps)) w
+    np.add(la, log_eps[:, None], out=tmp)
+    np.exp(tmp, out=tmp)
+    np.subtract(la, tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    tmp *= np.multiply(width, gl_weights, out=node)
+    return tmp.sum(axis=1)
+
+
 def _kanter_density(alpha: float, x: np.ndarray) -> np.ndarray:
     """eta_1 at positive ``x`` by Kanter's integral on two Gauss-Legendre panels.
 
@@ -200,6 +226,7 @@ def _kanter_density(alpha: float, x: np.ndarray) -> np.ndarray:
     from 0 to y = y0 + 1, past the peak; the second runs in d = pi - theta
     on to y = y0 + _PANEL_DEPTH.  Each panel then sits a good part of its
     own length away from the singularity at theta = pi, for every alpha.
+    Both panels evaluate in one work array.
     """
     one = 1.0 - alpha
     ratio = alpha / one
@@ -209,17 +236,10 @@ def _kanter_density(alpha: float, x: np.ndarray) -> np.ndarray:
     targets = np.log(a0 + np.concatenate([inv_eps, _PANEL_DEPTH * inv_eps]))
     d = np.exp(-_solve_log_a(alpha, targets))
     d_split, d_edge = d[: x.size], d[x.size :]
-    # rows 0..n-1 hold theta on [0, pi - d_split], rows n..2n-1 hold d on
-    # [d_edge, d_split]; sin(node) is sin(theta) on both
-    nodes, weights = _gl_panels(
-        np.concatenate([np.zeros_like(x), d_edge]),
-        np.concatenate([math.pi - d_split, d_split]),
-    )
-    theta = np.concatenate([nodes[: x.size], math.pi - nodes[x.size :]])
-    la = _kanter_log_a(alpha, theta, np.sin(nodes))
-    le = np.concatenate([log_eps, log_eps])[:, None]
-    panels = (np.exp(la - np.exp(la + le)) * weights).sum(axis=1)
-    total = panels[: x.size] + panels[x.size :]
+    rule = (_GL_NODES, _GL_WEIGHTS)
+    work = np.empty((3, x.size, _GL_NODES.size))
+    total = _kanter_panel(alpha, log_eps, np.zeros_like(x), math.pi - d_split, rule, False, work)
+    total += _kanter_panel(alpha, log_eps, d_edge, d_split, rule, True, work)
     return ratio / math.pi * x ** (-1.0 / one) * total
 
 
