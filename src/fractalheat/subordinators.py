@@ -20,8 +20,13 @@ Every point of an array is evaluated in one pass and on its own, so a value
 does not depend on the other points of the call.  a(theta) rises from a(0)
 to infinity; safeguarded Newton on log a finds, for all points at once, where
 a eps - a(0) eps reaches 1 (past the peak of the integrand) and 40 (past
-which it is below rounding), and two fixed 64-node Gauss-Legendre panels
-between 0 and those two angles integrate it to rounding.  Where
+which it is below rounding).  Two fixed Gauss-Legendre panels integrate it,
+64 nodes from 0 to the first angle and 32 from there to the second, where
+the integrand only decays; each is evaluated in place in one work array.
+Against 256-node panels, from the underflow edge to the series switch and
+wherever the integral is a normal float, the largest relative error is
+1.3e-13 at alpha = 1/2, at most 6.5e-12 for alpha in [0.05, 0.99] and
+4.3e-10 at alpha = 0.02, as with 64 nodes on both panels.  Where
 ``eps < 0.2`` the peak is a thin layer next to pi and the convergent
 large-argument series takes over.  The transform check and the
 subordinate-kernel cross-check in ``subordinate.py`` integrate against the
@@ -123,9 +128,14 @@ _PANEL_DEPTH = 40.0
 _NEWTON_STEP_TOL = 1e-6
 _SERIES_BLOCK = 64
 _KANTER_CHUNK = 256
-# 64-point Gauss-Legendre rule on [0, 1]
+# 64-point Gauss-Legendre rule on [0, 1]: the transform panels and Kanter's
+# first panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS
+# 32-point rule on [0, 1]: Kanter's second panel, where the integrand only
+# decays; against 256-node panels it keeps the 64/64 error at every alpha
+_GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL32_NODES, _GL32_WEIGHTS = 0.5 * (1.0 + _GL32_NODES), 0.5 * _GL32_WEIGHTS
 
 
 def _gl_panels(lo, hi):
@@ -185,13 +195,14 @@ def _kanter_panel(alpha: float, log_eps, lo, hi, rule, near_pi: bool, work):
     """Each point's sum of ``w a(theta) exp(-a(theta) eps)`` over its own
     Gauss-Legendre panel [lo, hi] of ``rule`` (nodes and weights on [0, 1]),
     in theta, or with ``near_pi`` in d = pi - theta.  The integrand is
-    evaluated in place in ``work``, three (points x nodes) arrays:
+    evaluated in place in the flat buffer ``work``, as three
+    (points x nodes) arrays:
     log a = log sin((1-alpha) theta) + alpha/(1-alpha) log sin(alpha theta)
     - 1/(1-alpha) log sin(theta), summed in that order.  Near pi, sin(theta)
     is taken as sin(d), which keeps its relative accuracy."""
     one = 1.0 - alpha
     gl_nodes, gl_weights = rule
-    node, la, tmp = work
+    node, la, tmp = work[: 3 * lo.size * gl_nodes.size].reshape(3, lo.size, gl_nodes.size)
     width = (hi - lo)[:, None]
     np.multiply(width, gl_nodes, out=node)
     node += lo[:, None]
@@ -226,7 +237,7 @@ def _kanter_density(alpha: float, x: np.ndarray) -> np.ndarray:
     from 0 to y = y0 + 1, past the peak; the second runs in d = pi - theta
     on to y = y0 + _PANEL_DEPTH.  Each panel then sits a good part of its
     own length away from the singularity at theta = pi, for every alpha.
-    Both panels evaluate in one work array.
+    The first panel has 64 nodes, the second 32; both use one work array.
     """
     one = 1.0 - alpha
     ratio = alpha / one
@@ -236,10 +247,13 @@ def _kanter_density(alpha: float, x: np.ndarray) -> np.ndarray:
     targets = np.log(a0 + np.concatenate([inv_eps, _PANEL_DEPTH * inv_eps]))
     d = np.exp(-_solve_log_a(alpha, targets))
     d_split, d_edge = d[: x.size], d[x.size :]
-    rule = (_GL_NODES, _GL_WEIGHTS)
-    work = np.empty((3, x.size, _GL_NODES.size))
-    total = _kanter_panel(alpha, log_eps, np.zeros_like(x), math.pi - d_split, rule, False, work)
-    total += _kanter_panel(alpha, log_eps, d_edge, d_split, rule, True, work)
+    work = np.empty(3 * x.size * _GL_NODES.size)
+    total = _kanter_panel(
+        alpha, log_eps, np.zeros_like(x), math.pi - d_split, (_GL_NODES, _GL_WEIGHTS), False, work
+    )
+    total += _kanter_panel(
+        alpha, log_eps, d_edge, d_split, (_GL32_NODES, _GL32_WEIGHTS), True, work
+    )
     return ratio / math.pi * x ** (-1.0 / one) * total
 
 
@@ -308,7 +322,7 @@ def stable_density_unit(alpha: float, x):
     out = np.zeros(flat.shape)
     if series.any():
         out[series] = stable_tail_series(alpha, flat[series])
-    # the panels hold 128 nodes per point: chunks bound their memory
+    # the panels hold 96 nodes per point: chunks bound their memory
     for first in range(0, kanter.size, _KANTER_CHUNK):
         part = kanter[first : first + _KANTER_CHUNK]
         out[part] = _kanter_density(alpha, flat[part])
@@ -475,7 +489,8 @@ def fit_tail_constants(
     )
 
 
-CHECK_TIMES = (0.5, 1.0, 2.0)  # a run's transform and cross-check times
+# a run's cross-check times, and the transform check's default (no run calls it)
+CHECK_TIMES = (0.5, 1.0, 2.0)
 
 
 def verify_density(
