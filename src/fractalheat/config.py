@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bounds import SUB_UNIT_END
 from .exact import Vec2, parse_q3
-from .geometry import FractalSystem, build_system
+from .geometry import FractalError, FractalSystem, build_system
 from .subordinators import SubordinatorSpec
 
 N_MAX = 7  # deeper graphs exceed the dense-eigendecomposition budget
@@ -138,16 +138,22 @@ def load_fractal_config(path: str | Path) -> FractalSystem:
         # resolved by a walk-dimension estimate on a placeholder system
         from .kernels import estimate_walk_dimension
 
-        probe = build_system(name, L, translations, walk_dim=2.0,
-                             chemical_exp=2.0, osc_attested=osc)
+        probe = _build_system(path, name, L, translations, 2.0, 2.0, osc)
         dw = estimate_walk_dimension(probe, 5).estimate
     dj = s.get("dj", "dw")
     if dj in ("dw", "estimate"):
         dj = dw
-    return build_system(
-        name, L, translations, walk_dim=float(dw), chemical_exp=float(dj),
-        osc_attested=osc,
-    )
+    return _build_system(path, name, L, translations, float(dw), float(dj), osc)
+
+
+def _build_system(path, name, L, translations, dw, dj, osc) -> FractalSystem:
+    """``build_system``, its ``FractalError`` a ``ConfigError`` naming ``path``."""
+    try:
+        return build_system(
+            name, L, translations, walk_dim=dw, chemical_exp=dj, osc_attested=osc
+        )
+    except FractalError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_subordinator(text: str) -> SubordinatorSpec:
