@@ -93,6 +93,10 @@ class TestFractalConfig:
             ("L = 2", "L = 1/0", "bad value for l"),
             ("osc_attested = true", "osc_attested = maybe", "bad value for osc_attested"),
             ("N = 3\n", "", "is missing n"),
+            # values the file parses but the fractal system refuses
+            ("L = 2", "L = 1", "scaling factor L must exceed 1, got 1"),
+            ("dw = estimate\ndj = dw", "dw = 2\ndj = 1", "chemical exponent must exceed 1"),
+            ("translations = 0,0", "translations = 1/8,0", "first translation must be the origin"),
         ],
     )
     def test_strict_reader_refuses_before_any_graph(

@@ -11,6 +11,7 @@ from fractalheat.subordinators import (
     _EXP_UNDERFLOW,
     _GL_NODES,
     _GL_WEIGHTS,
+    _KANTER_CHUNK,
     _SERIES_EPS_SWITCH,
     SubordinatorError,
     SubordinatorSpec,
@@ -144,11 +145,17 @@ class TestStableDensity:
         assert stable_density(0.5, 1.0, 1.0) == pytest.approx(ETA_HALF_1_1, rel=1e-12)
 
     def test_integral_route_matches_closed_form(self):
-        x = np.logspace(-2, 3, 60)
+        # Kanter's panels at alpha = 1/2 over their whole range, from the
+        # underflow edge a(0) eps = 745 (x = 1/2980, where the panels are
+        # narrowest) to the series switch (x = 5), wherever the closed form
+        # is a normal float
+        x = np.logspace(math.log10(0.25 / _EXP_UNDERFLOW), math.log10(5.0), 400)
         closed = stable_density(0.5, 1.0, x)
-        assert stable_density_unit(0.5, x) == pytest.approx(closed, rel=1e-12)
+        normal = closed >= np.finfo(float).tiny
+        assert normal.sum() >= 398
+        assert stable_density_unit(0.5, x[normal]) == pytest.approx(closed[normal], rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
     def test_matches_scalar_quadrature_route(self, alpha):
         x = np.logspace(-2, 6, 200)
         ref = np.array([_reference_unit_density(alpha, float(v)) for v in x])
@@ -161,6 +168,24 @@ class TestStableDensity:
         s = np.logspace(-2, 4, 97)
         vals = stable_density(alpha, 1.5, s)
         singles = [stable_density(alpha, 1.5, float(v)) for v in s]
+        assert all(v == single for v, single in zip(vals, singles))
+        # more than three chunks of Kanter points, the last one partial,
+        # shuffled among series and underflow points: every chunk gets the
+        # values its points have alone, whatever the chunk before it held
+        one = 1.0 - alpha
+        ratio = alpha / one
+        edge = (_EXP_UNDERFLOW / (one * alpha**ratio)) ** (-1.0 / ratio)
+        switch = _SERIES_EPS_SWITCH ** (-1.0 / ratio)
+        n_kanter = 3 * _KANTER_CHUNK + 77
+        x = np.concatenate([
+            np.geomspace(edge * 1.001, switch * 0.999, n_kanter),
+            np.geomspace(switch * 1.001, switch * 1e4, 100),
+            np.geomspace(edge * 1e-3, edge * 0.999, 100),
+        ])
+        x = np.random.default_rng(7).permutation(x)
+        vals = stable_density_unit(alpha, x)
+        singles = [stable_density_unit(alpha, float(v)) for v in x]
+        assert np.count_nonzero(vals) > 3 * _KANTER_CHUNK + 100
         assert all(v == single for v, single in zip(vals, singles))
 
     def test_scaling_identity_through_transform(self):
@@ -217,6 +242,23 @@ class TestRelativisticDensity:
     def test_mass_must_be_positive(self):
         with pytest.raises(SubordinatorError):
             relativistic_density(0.5, -1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, m", [(0.8, 2.0), (0.3, 1.7), (0.5, math.sqrt(5.0)), (0.7, 3.0)]
+    )
+    def test_mass_scaling(self, alpha, m):
+        # eta^m_t(s) = m^(1/alpha) eta^1_(m t)(m^(1/alpha) s), exactly: the
+        # two sides reach Kanter's panels (the closed form at alpha = 1/2) at
+        # arguments that differ only by rounding; measured at most 8.6e-13
+        t = 0.7
+        s = np.logspace(-3, 2, 201)
+        scale = m ** (1.0 / alpha)
+        lhs = relativistic_density(alpha, m, t, s)
+        rhs = scale * relativistic_density(alpha, 1.0, m * t, scale * s)
+        live = lhs > 0
+        assert live.sum() >= 120
+        assert np.array_equal(live, rhs > 0)
+        assert lhs[live] == pytest.approx(rhs[live], rel=5e-12)
 
 
 class TestTransformIdentity:
@@ -373,16 +415,20 @@ class TestTails:
         uppers = [f.c_upper for f in fits]
         assert max(uppers) / min(uppers) <= 1.1
 
-    def test_series_matches_integral_far_tail(self):
+    @pytest.mark.parametrize(
+        "alpha, eps_far", [(0.1, 0.1), (0.3, 0.05), (0.7, 0.05), (0.9, 0.05)]
+    )
+    def test_series_matches_integral_far_tail(self, alpha, eps_far):
         # the unit density changes route where eps = u^(-alpha/(1-alpha))
-        # crosses the switch; the Kanter panels and the 40-term series agree
-        # on both sides of it, so the density does not jump there
-        eps = np.array([0.05, 0.1, 0.18, _SERIES_EPS_SWITCH, 0.3, 0.5])
-        for alpha in (0.3, 0.7):
-            u = eps ** (-(1.0 - alpha) / alpha)
-            series = stable_tail_series(alpha, u, terms=40)
-            assert _kanter_density(alpha, u) == pytest.approx(series, rel=1e-12)
-            assert stable_density_unit(alpha, u) == pytest.approx(series, rel=1e-12)
+        # crosses the switch; the Kanter panels and the 80-term series agree
+        # on both sides of it, so the density does not jump there.  40 terms
+        # fall 1e-8 short near u = 1 at alpha = 0.9; at alpha = 0.1 the
+        # panels are 1.6e-10 off at eps = 0.05, where the series serves
+        eps = np.array([eps_far, 0.1, 0.18, _SERIES_EPS_SWITCH, 0.3, 0.5])
+        u = eps ** (-(1.0 - alpha) / alpha)
+        series = stable_tail_series(alpha, u, terms=80)
+        assert _kanter_density(alpha, u) == pytest.approx(series, rel=1e-12)
+        assert stable_density_unit(alpha, u) == pytest.approx(series, rel=1e-12)
 
     @pytest.mark.parametrize(
         "alpha, decades", [(0.3, 5.0), (0.7, 5.0), (0.5, 1.0), (0.3, -0.3)]
