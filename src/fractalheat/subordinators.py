@@ -191,18 +191,16 @@ def _solve_log_a(alpha: float, target: np.ndarray) -> np.ndarray:
     raise SubordinatorError("Kanter panel search did not converge")  # pragma: no cover
 
 
-def _kanter_panel(alpha: float, log_eps, lo, hi, rule, near_pi: bool, work):
+def _kanter_panel(alpha: float, log_eps, lo, hi, gl_nodes, gl_weights, near_pi: bool):
     """Each point's sum of ``w a(theta) exp(-a(theta) eps)`` over its own
-    Gauss-Legendre panel [lo, hi] of ``rule`` (nodes and weights on [0, 1]),
-    in theta, or with ``near_pi`` in d = pi - theta.  The integrand is
-    evaluated in place in the flat buffer ``work``, as three
-    (points x nodes) arrays:
+    Gauss-Legendre panel [lo, hi] (``gl_nodes`` and ``gl_weights`` on
+    [0, 1]), in theta, or with ``near_pi`` in d = pi - theta.  The integrand
+    is evaluated in place in one work array of three (points x nodes) planes:
     log a = log sin((1-alpha) theta) + alpha/(1-alpha) log sin(alpha theta)
     - 1/(1-alpha) log sin(theta), summed in that order.  Near pi, sin(theta)
     is taken as sin(d), which keeps its relative accuracy."""
     one = 1.0 - alpha
-    gl_nodes, gl_weights = rule
-    node, la, tmp = work[: 3 * lo.size * gl_nodes.size].reshape(3, lo.size, gl_nodes.size)
+    node, la, tmp = np.empty((3, lo.size, gl_nodes.size))
     width = (hi - lo)[:, None]
     np.multiply(width, gl_nodes, out=node)
     node += lo[:, None]
@@ -237,7 +235,7 @@ def _kanter_density(alpha: float, x: np.ndarray) -> np.ndarray:
     from 0 to y = y0 + 1, past the peak; the second runs in d = pi - theta
     on to y = y0 + _PANEL_DEPTH.  Each panel then sits a good part of its
     own length away from the singularity at theta = pi, for every alpha.
-    The first panel has 64 nodes, the second 32; both use one work array.
+    The first panel has 64 nodes, the second 32.
     """
     one = 1.0 - alpha
     ratio = alpha / one
@@ -247,13 +245,10 @@ def _kanter_density(alpha: float, x: np.ndarray) -> np.ndarray:
     targets = np.log(a0 + np.concatenate([inv_eps, _PANEL_DEPTH * inv_eps]))
     d = np.exp(-_solve_log_a(alpha, targets))
     d_split, d_edge = d[: x.size], d[x.size :]
-    work = np.empty(3 * x.size * _GL_NODES.size)
     total = _kanter_panel(
-        alpha, log_eps, np.zeros_like(x), math.pi - d_split, (_GL_NODES, _GL_WEIGHTS), False, work
+        alpha, log_eps, np.zeros_like(x), math.pi - d_split, _GL_NODES, _GL_WEIGHTS, False
     )
-    total += _kanter_panel(
-        alpha, log_eps, d_edge, d_split, (_GL32_NODES, _GL32_WEIGHTS), True, work
-    )
+    total += _kanter_panel(alpha, log_eps, d_edge, d_split, _GL32_NODES, _GL32_WEIGHTS, True)
     return ratio / math.pi * x ** (-1.0 / one) * total
 
 
