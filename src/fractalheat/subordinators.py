@@ -126,7 +126,10 @@ _PANEL_DEPTH = 40.0
 # within about 1e-12 (3e-12 at most for alpha = 0.3 and 0.7), far finer than
 # the panel ends need
 _NEWTON_STEP_TOL = 1e-6
-_SERIES_BLOCK = 64
+# terms per series pass; the sum and the stop are the same for any block, and
+# 16 computes fewer terms past each point's stop than 64 did (in under half the
+# time)
+_SERIES_BLOCK = 16
 _KANTER_CHUNK = 256
 # 64-point Gauss-Legendre rule on [0, 1]: the transform panels and Kanter's
 # first panel

@@ -430,6 +430,21 @@ class TestTails:
         assert _kanter_density(alpha, u) == pytest.approx(series, rel=1e-12)
         assert stable_density_unit(alpha, u) == pytest.approx(series, rel=1e-12)
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_series_does_not_depend_on_its_block(self, block, monkeypatch):
+        # the series sums its terms in order and stops each point on its own,
+        # so the number of terms per numpy pass changes no bit
+        def sums():
+            out = []
+            for alpha in (0.1, 0.5, 0.9):
+                x = _SERIES_EPS_SWITCH ** (-(1.0 - alpha) / alpha) * np.logspace(0, 30, 200)
+                out += [stable_tail_series(alpha, x), stable_tail_series(alpha, x, terms=40)]
+            return np.concatenate(out)
+
+        ref = sums()
+        monkeypatch.setattr("fractalheat.subordinators._SERIES_BLOCK", block)
+        assert sums().tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize(
         "alpha, decades", [(0.3, 5.0), (0.7, 5.0), (0.5, 1.0), (0.3, -0.3)]
     )
