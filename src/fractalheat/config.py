@@ -134,23 +134,20 @@ def load_fractal_config(path: str | Path) -> FractalSystem:
         )
     osc = s.get("osc_attested", False)
     dw = s["dw"]
-    if dw == "estimate":
-        # resolved by a walk-dimension estimate on a placeholder system
-        from .kernels import estimate_walk_dimension
-
-        probe = _build_system(path, name, L, translations, 2.0, 2.0, osc)
-        dw = estimate_walk_dimension(probe, 5).estimate
-    dj = s.get("dj", "dw")
-    if dj in ("dw", "estimate"):
-        dj = dw
-    return _build_system(path, name, L, translations, float(dw), float(dj), osc)
-
-
-def _build_system(path, name, L, translations, dw, dj, osc) -> FractalSystem:
-    """``build_system``, its ``FractalError`` a ``ConfigError`` naming ``path``."""
     try:
+        if dw == "estimate":
+            # resolved by a walk-dimension estimate on a placeholder system
+            from .kernels import estimate_walk_dimension
+
+            probe = build_system(name, L, translations, walk_dim=2.0,
+                                 chemical_exp=2.0, osc_attested=osc)
+            dw = estimate_walk_dimension(probe, 5).estimate
+        dj = s.get("dj", "dw")
+        if dj in ("dw", "estimate"):
+            dj = dw
         return build_system(
-            name, L, translations, walk_dim=dw, chemical_exp=dj, osc_attested=osc
+            name, L, translations, walk_dim=float(dw), chemical_exp=float(dj),
+            osc_attested=osc,
         )
     except FractalError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
