@@ -7,7 +7,7 @@ claim reports the min/max ratio.  Small depths keep this demo under a
 minute; the acceptance suite runs the full-size version.
 """
 
-from fractalheat import KernelCache, sierpinski_gasket
+from fractalheat import KernelCache, bounds, sierpinski_gasket
 from fractalheat.bounds import (
     ReflectionStudy,
     relativistic_comparison_reports,
@@ -18,8 +18,13 @@ from fractalheat.bounds import (
 gasket = sierpinski_gasket()
 cache = KernelCache()
 study = ReflectionStudy.build(gasket, M=1, depth=3, window=2, cache=cache)
-# the grids, thresholds and seed of configs/default-run.ini, on 8 times
-settings = dict(n_times=8, t_min=0.1, flat_span=10.0, spread_threshold=10.0, seed=20240801)
+# the grids and seed of configs/default-run.ini, on 8 times; the first time
+# and the pass thresholds are constants of fractalheat.bounds
+settings = dict(n_times=8, flat_span=10.0, seed=20240801)
+print(
+    f"grids from t = {bounds.T_MIN}; a claim passes with spread <= "
+    f"{bounds.SPREAD_THRESHOLD:g} and stability <= {bounds.STABILITY_THRESHOLD:g}\n"
+)
 
 print("== stable subordination: reflected vs free ==")
 stable = stable_comparison_reports(study, alpha=0.5, bracket_tol=0.8, **settings)
@@ -30,16 +35,17 @@ for name, rep in stable.items():
     )
 
 print("\n== relativistic subordination ==")
-reports = relativistic_comparison_reports(
-    study, alpha=0.5, m=1.0, domination_tol=1e-8, **settings
-)
+reports = relativistic_comparison_reports(study, alpha=0.5, m=1.0, **settings)
 for name, rep in reports.items():
     extra = f" (fitted c = {rep.fitted_c:.3f})" if rep.fitted_c else ""
     print(
         f"  {name:10s}: spread {rep.spread:8.3f} -> "
         f"{'pass' if rep.passed else 'FAIL'}{extra}"
     )
-print(f"  pointwise domination violation: {reports['domination'].extras['max_violation']:.2e}")
+print(
+    f"  pointwise domination violation: {reports['domination'].extras['max_violation']:.2e}"
+    f" (tolerance {bounds.DOMINATION_TOL:g})"
+)
 
 print("\n== analytic sandwich for the sub-Gaussian shape ==")
 report = sandwich_check_f(gasket, 0.5, 2.0, 1.0, M=1)

@@ -4,8 +4,11 @@ The claims under test are sandwich estimates with existential constants, so
 verification is empirical: evaluate the computed kernel against the claimed
 closed-form shape over a regime grid, fit the shape's free constant where it
 sits in an exponent, and report the min/max ratio.  A claim passes when the
-ratio spread is finite, below a declared threshold, and stable under grid
-refinement.
+ratio spread is finite and at most ``SPREAD_THRESHOLD``, and its relative
+change from depth n - 1 to n is at most ``STABILITY_THRESHOLD``
+(``claim_entry``).  These and ``T_MIN`` and ``DOMINATION_TOL`` are constants
+of this module, the one place that decides whether a claim passes; a run
+hashes them into its manifest's ``config_hash``.
 
 The report functions are the one definition of the regimes.  Stable:
 'near' below the crossover ``L^(alpha M d_w)``, 'flat' (level ``N^-M``)
@@ -41,7 +44,11 @@ from .subordinators import SubordinatorSpec
 
 CLAMP = 1e-14  # ratio statistics only; raw kernel values are never clamped
 PLOT_PAIRS = 50  # folded-graph pairs a report samples at each of its times
+T_MIN = 0.1  # first time of every grid that starts below a crossover
 SUB_UNIT_END = 0.95  # last time of the sub-unit grid of relativistic regimes 2, 3
+SPREAD_THRESHOLD = 10.0  # largest passing max/min ratio of a claim, for every alpha
+STABILITY_THRESHOLD = 0.5  # largest passing relative change of a spread, depth n-1 -> n
+DOMINATION_TOL = 1e-8  # largest passing free - folded kernel difference
 BRACKET_PAIRS = 150  # seeded interior pairs of the truncation bracket
 FIT_PAIRS = 60000  # seeded fit draws of a regime report, over all its times
 DECAY_CONSTANT_CAP = 100.0  # the minimax decay constant is sought on [0, cap]
@@ -183,12 +190,23 @@ class BoundReport:
     grid: str
     min_ratio: float
     max_ratio: float
-    threshold: float
     fitted_c: float | None = None
     extras: dict = field(default_factory=dict)
     # (t, i, j, kernel, form, ratio) at seeded folded-graph pairs (i, j); the
     # ratio is the clamped value the min/max above runs over
     samples: list[tuple] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, study: ReflectionStudy, spec: SubordinatorSpec, regime: str, n_times: int,
+           min_ratio: float, max_ratio: float, samples: list[tuple], extras: dict,
+           fitted_c: float | None = None) -> BoundReport:
+        """The ``regime`` report of ``spec`` on ``study``: its claim names
+        the spec's parameters, the level M and the depth, and its grid note
+        counts the times and the folded-graph pairs."""
+        params = f"alpha={spec.alpha:g}" + (f",m={spec.m:g}" if spec.m is not None else "")
+        claim = f"{spec.kind}-{regime}[{params},M={study.M},n={study.depth}]"
+        grid = f"{n_times} times x {len(study.sub_indices)}^2 pairs"
+        return cls(claim, regime, grid, min_ratio, max_ratio, fitted_c, extras, samples)
 
     @property
     def spread(self) -> float:
@@ -200,7 +218,7 @@ class BoundReport:
             math.isfinite(self.min_ratio)
             and math.isfinite(self.max_ratio)
             and self.min_ratio > 0
-            and self.spread <= self.threshold
+            and self.spread <= SPREAD_THRESHOLD
         )
 
     def to_dict(self) -> dict:
@@ -322,6 +340,17 @@ def _bounded_minimum(f, a: float, b: float, xatol: float, maxfun: int = 500) -> 
 def refinement_stability(coarse: BoundReport, fine: BoundReport) -> float:
     """Relative change of the fitted spread under grid refinement."""
     return abs(fine.spread - coarse.spread) / coarse.spread
+
+
+def claim_entry(coarse: BoundReport, fine: BoundReport) -> dict:
+    """The ``bounds.json`` entry of a claim: the fine report with its
+    refinement stability from the coarse one.  The claim passes when the
+    fine report passes and the stability is at most ``STABILITY_THRESHOLD``."""
+    entry = fine.to_dict()
+    entry["stability"] = refinement_stability(coarse, fine)
+    entry["stability_pass"] = entry["stability"] <= STABILITY_THRESHOLD
+    entry["pass"] = entry["pass"] and entry["stability_pass"]
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +494,19 @@ def _samples(t, pairs, kernel, form, ratio) -> list[tuple]:
     ]
 
 
-def _flat_pass(study: ReflectionStudy, spec: SubordinatorSpec, times, pairs, pos):
-    """Global min/max of max(folded, CLAMP) / level over (t, all folded
-    pairs), streamed per t, with the plot samples at ``pairs``.
+def _flat_report(
+    study: ReflectionStudy, spec: SubordinatorSpec, crossover: float, n_times: int,
+    flat_span: float, pairs, pos,
+) -> BoundReport:
+    """The 'flat' report, shared by both kinds: the global min/max of
+    max(folded, CLAMP) / level over (t, all folded pairs) on ``n_times``
+    times from ``crossover`` to ``flat_span`` times it, streamed per t, with
+    the plot samples at ``pairs``.
 
     The flat level is one scalar, and max(x, CLAMP) / level grows with x, so
     the extremes are those of the folded block, clamped and divided: the
     same bits as the ratio block they stand for."""
+    times = log_time_grid(crossover, crossover * flat_span, n_times)
     level = form_for(study.system, "flat", M=study.M).flat_level
     scale = max(level, CLAMP)
     gmin, gmax, samples = np.inf, -np.inf, []
@@ -485,7 +520,9 @@ def _flat_pass(study: ReflectionStudy, spec: SubordinatorSpec, times, pairs, pos
         )
         # free this time's block before the next time's is computed
         del num
-    return gmin, gmax, samples
+    return BoundReport.of(
+        study, spec, "flat", n_times, gmin, gmax, samples, {"crossover": crossover}
+    )
 
 
 def _near_pass(study: ReflectionStudy, spec: SubordinatorSpec, times, pairs, pos):
@@ -530,26 +567,22 @@ def stable_comparison_reports(
     alpha: float,
     *,
     n_times: int,
-    t_min: float,
     flat_span: float,
-    spread_threshold: float,
     bracket_tol: float,
     seed: int,
 ) -> dict[str, BoundReport]:
     """Two-regime comparison for the stable-subordinate reflected kernel.
 
-    'near' checks the folded/free ratio below the crossover time
-    ``L^(alpha M d_w)``; 'flat' checks the folded kernel against the constant
-    level ``N^-M`` from the crossover onward.  A truncation bracket above
-    ``bracket_tol`` raises ``KernelError``.
+    'near' checks the folded/free ratio from ``T_MIN`` to below the
+    crossover time ``L^(alpha M d_w)``; 'flat' checks the folded kernel
+    against the constant level ``N^-M`` from the crossover onward.  A
+    truncation bracket above ``bracket_tol`` raises ``KernelError``.
     """
     spec = SubordinatorSpec("stable", alpha)
     system = study.system
-    lf = float(system.L)
-    crossover = lf ** (alpha * study.M * system.walk_dim)
+    crossover = float(system.L) ** (alpha * study.M * system.walk_dim)
     pairs, pos = _plot_pairs(len(study.sub_indices), seed)
-    near_times = log_time_grid(t_min, crossover * 0.98, n_times)
-    flat_times = log_time_grid(crossover, crossover * flat_span, n_times)
+    near_times = log_time_grid(T_MIN, crossover * 0.98, n_times)
 
     bracket = study.truncation_bracket(spec, [near_times[-1]], seed=seed)
     if bracket > bracket_tol:
@@ -559,27 +592,11 @@ def stable_comparison_reports(
         )
 
     near_min, near_max, near_samples = _near_pass(study, spec, near_times, pairs, pos)
-    near = BoundReport(
-        claim=f"stable-near[alpha={alpha:g},M={study.M},n={study.depth}]",
-        regime="near",
-        grid=f"{n_times} times x {len(study.sub_indices)}^2 pairs",
-        min_ratio=near_min,
-        max_ratio=near_max,
-        threshold=spread_threshold,
-        extras={"truncation_bracket": bracket, "crossover": crossover},
-        samples=near_samples,
+    near = BoundReport.of(
+        study, spec, "near", n_times, near_min, near_max, near_samples,
+        {"truncation_bracket": bracket, "crossover": crossover},
     )
-    flat_min, flat_max, flat_samples = _flat_pass(study, spec, flat_times, pairs, pos)
-    flat = BoundReport(
-        claim=f"stable-flat[alpha={alpha:g},M={study.M},n={study.depth}]",
-        regime="flat",
-        grid=f"{n_times} times x {len(study.sub_indices)}^2 pairs",
-        min_ratio=flat_min,
-        max_ratio=flat_max,
-        threshold=spread_threshold,
-        extras={"crossover": crossover},
-        samples=flat_samples,
-    )
+    flat = _flat_report(study, spec, crossover, n_times, flat_span, pairs, pos)
     return {"near": near, "flat": flat}
 
 
@@ -589,14 +606,12 @@ def relativistic_comparison_reports(
     m: float,
     *,
     n_times: int,
-    t_min: float,
     flat_span: float,
-    spread_threshold: float,
-    domination_tol: float,
     seed: int,
 ) -> dict[str, BoundReport]:
-    """Flat-regime spread, pointwise lower domination, and the three
-    sub-crossover regime forms for the relativistic reflected kernel.
+    """Flat-regime spread, pointwise lower domination (free <= folded +
+    ``DOMINATION_TOL``), and the three sub-crossover regime forms for the
+    relativistic reflected kernel.
 
     Regime forms are evaluated in the intrinsic metric (see the module
     docstring).  Each regime time grid computes one folded block per
@@ -607,39 +622,17 @@ def relativistic_comparison_reports(
     """
     spec = SubordinatorSpec("relativistic", alpha, m)
     system = study.system
-    lf = float(system.L)
-    crossover = lf ** (study.M * system.walk_dim)
-    n_pairs = len(study.sub_indices)
-    grid_note = f"{n_times} times x {n_pairs}^2 pairs"
-    pairs, pos = _plot_pairs(n_pairs, seed)
-
-    flat_times = log_time_grid(crossover, crossover * flat_span, n_times)
-    flat_min, flat_max, flat_samples = _flat_pass(study, spec, flat_times, pairs, pos)
-    reports = {
-        "flat": BoundReport(
-            claim=f"relativistic-flat[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
-            regime="flat",
-            grid=grid_note,
-            min_ratio=flat_min,
-            max_ratio=flat_max,
-            threshold=spread_threshold,
-            extras={"crossover": crossover},
-            samples=flat_samples,
-        )
-    }
+    crossover = float(system.L) ** (study.M * system.walk_dim)
+    pairs, pos = _plot_pairs(len(study.sub_indices), seed)
+    reports = {"flat": _flat_report(study, spec, crossover, n_times, flat_span, pairs, pos)}
 
     # pointwise lower domination: free <= folded + tol below the crossover
-    dom_times = log_time_grid(t_min, crossover * 0.98, n_times)
+    dom_times = log_time_grid(T_MIN, crossover * 0.98, n_times)
     worst_violation, dom_samples = _domination_pass(study, spec, dom_times, pairs, pos)
-    reports["domination"] = BoundReport(
-        claim=f"relativistic-domination[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
-        regime="domination",
-        grid=grid_note,
-        min_ratio=1.0,
-        max_ratio=1.0 if worst_violation <= domination_tol else np.inf,
-        threshold=spread_threshold,
-        extras={"max_violation": worst_violation, "tolerance": domination_tol},
-        samples=dom_samples,
+    reports["domination"] = BoundReport.of(
+        study, spec, "domination", n_times,
+        1.0, 1.0 if worst_violation <= DOMINATION_TOL else np.inf, dom_samples,
+        {"max_violation": worst_violation, "tolerance": DOMINATION_TOL},
     )
 
     dist = study.geodesic_distances()
@@ -708,16 +701,12 @@ def relativistic_comparison_reports(
                 at_pairs = fitted_form.evaluate(np.full(len(i), t), dist[i, j])
                 ratio = np.maximum(vals, CLAMP) / at_pairs
                 samples += _samples(t, plot_pairs[name], vals, at_pairs, ratio)
-            reports[name] = BoundReport(
-                claim=f"relativistic-{name}[alpha={alpha:g},m={m:g},M={study.M},n={study.depth}]",
-                regime=name,
-                grid=grid_note,
-                min_ratio=float((np.maximum(lo[:, cols], CLAMP) / shape).min()),
-                max_ratio=float((np.maximum(hi[:, cols], CLAMP) / shape).max()),
-                threshold=spread_threshold,
+            reports[name] = BoundReport.of(
+                study, spec, name, n_times,
+                float((np.maximum(lo[:, cols], CLAMP) / shape).min()),
+                float((np.maximum(hi[:, cols], CLAMP) / shape).max()),
+                samples, extras,
                 fitted_c=None if fitted_form is form else fitted_form.c,
-                extras=extras,
-                samples=samples,
             )
 
     if crossover > 1.0:
@@ -726,7 +715,7 @@ def relativistic_comparison_reports(
     far = levels >= 1.0
     sub_regimes = [("regime2", "relativistic_regime_2", far)] if far.any() else []
     add_regime_reports(
-        log_time_grid(t_min, SUB_UNIT_END, n_times),
+        log_time_grid(T_MIN, SUB_UNIT_END, n_times),
         sub_regimes + [("regime3", "relativistic_regime_3", ~far)],
     )
     return reports

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import SUB_UNIT_END
 from .exact import Vec2, parse_q3
 from .geometry import FractalError, FractalSystem, build_system
 from .subordinators import SubordinatorSpec
@@ -133,16 +132,18 @@ def load_fractal_config(path: str | Path) -> FractalSystem:
             f"{path}: N = {s['n_maps']} but {len(translations)} translations given"
         )
     osc = s.get("osc_attested", False)
-    dw = s["dw"]
+    dw, dj = s["dw"], s.get("dj", "dw")
     try:
         if dw == "estimate":
-            # resolved by a walk-dimension estimate on a placeholder system
+            # resolved by a walk-dimension estimate on a placeholder system,
+            # which carries a numeric dj so that a bad one is refused first
             from .kernels import estimate_walk_dimension
 
-            probe = build_system(name, L, translations, walk_dim=2.0,
-                                 chemical_exp=2.0, osc_attested=osc)
+            probe = build_system(
+                name, L, translations, walk_dim=2.0,
+                chemical_exp=2.0 if isinstance(dj, str) else dj, osc_attested=osc,
+            )
             dw = estimate_walk_dimension(probe, 5).estimate
-        dj = s.get("dj", "dw")
         if dj in ("dw", "estimate"):
             dj = dw
         return build_system(
@@ -164,7 +165,8 @@ def parse_subordinator(text: str) -> SubordinatorSpec:
 
 @dataclass
 class RunConfig:
-    """Everything one reproducible pipeline run needs."""
+    """Everything one reproducible pipeline run needs.  The claim thresholds
+    and the first time of the grids are constants of ``bounds``."""
 
     fractal_path: Path
     system: FractalSystem
@@ -177,14 +179,10 @@ class RunConfig:
         default_factory=lambda: [SubordinatorSpec("stable", 0.5)]
     )
     n_times: int = 12
-    t_min: float = 0.1
     flat_span: float = 10.0
     kernel_times: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0)
     table_pairs: int = 300
     crosscheck_samples: int = 8
-    spread_threshold: float = 10.0
-    stability_threshold: float = 0.5
-    domination_tol: float = 1e-8
     bracket_tol: float = 0.8
     raw_text: str = ""
 
@@ -198,14 +196,17 @@ class RunConfig:
                 f"window {self.window} at depth {self.n} exceeds the "
                 f"eigendecomposition budget (window + n <= {N_MAX})"
             )
-        if self.spread_threshold <= 1 or self.stability_threshold <= 0:
-            raise ConfigError("thresholds must exceed 1 (spread) and 0 (stability)")
         if not self.subordinators:
             raise ConfigError("at least one subordinator spec required")
+        labels = [spec.label() for spec in self.subordinators]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ConfigError(
+                f"subordinator specs share the label {', '.join(repeated)}; "
+                "their tables and claims would overwrite each other"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not (0 < self.t_min < SUB_UNIT_END):
-            raise ConfigError(f"t_min must be in (0, {SUB_UNIT_END}), got {self.t_min}")
         for name in ("n_times", "table_pairs", "crosscheck_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -241,14 +242,10 @@ _RUN_KEYS = (
     ("run", "seed", "seed", int),
     ("subordinators", "specs", "subordinators", _specs),
     ("grids", "n_times", "n_times", int),
-    ("grids", "t_min", "t_min", _finite),
     ("grids", "flat_span", "flat_span", _finite),
     ("grids", "kernel_times", "kernel_times", _finites),
     ("grids", "table_pairs", "table_pairs", int),
     ("grids", "crosscheck_samples", "crosscheck_samples", int),
-    ("thresholds", "spread", "spread_threshold", _finite),
-    ("thresholds", "stability", "stability_threshold", _finite),
-    ("thresholds", "domination_tol", "domination_tol", _finite),
     ("thresholds", "bracket_tol", "bracket_tol", _finite),
 )
 

@@ -7,7 +7,9 @@ inventory.  All numeric output is formatted with 17 significant digits and
 written in deterministic order, so identical configs reproduce identical
 bytes, whether the eigen cache was cold or warm and whatever the core count:
 the verify stage runs its report jobs on threads, but each job computes the
-same bytes on any thread.
+same bytes on any thread.  The stages write into a staging directory, and
+the files move into place only once the last stage has run, so a failed run
+leaves the outputs of the last finished run as they were.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,11 +28,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, bounds
 from .bounds import (
     BoundReport,
     ReflectionStudy,
-    refinement_stability,
+    claim_entry,
     relativistic_comparison_reports,
     stable_comparison_reports,
 )
@@ -62,10 +66,14 @@ def _write_json(path: Path, payload) -> None:
 
 def _config_hash(config: RunConfig) -> str:
     """sha256 over every input of a run: the run INI text, the fractal INI
-    bytes, and the fractalheat, numpy and scipy versions."""
+    bytes, the claim constants of ``bounds``, and the fractalheat, numpy and
+    scipy versions."""
+    claims = (bounds.T_MIN, bounds.SPREAD_THRESHOLD, bounds.STABILITY_THRESHOLD,
+              bounds.DOMINATION_TOL)
     parts = (
         config.raw_text.encode(),
         config.fractal_path.read_bytes(),
+        repr(claims).encode(),
         f"fractalheat {__version__} numpy {np.__version__} scipy {scipy.__version__}".encode(),
     )
     h = hashlib.sha256()
@@ -96,6 +104,7 @@ class RunManifest:
 class PipelineState:
     config: RunConfig
     cache: KernelCache
+    staging: Path  # the outputs are written here, then moved under out_dir
     written: list[Path] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
     # the bounds.json entry of each claim, by (subordinator label, report name)
@@ -106,7 +115,7 @@ class PipelineState:
     table_pairs_idx: np.ndarray | None = None
 
     def out(self, rel: str) -> Path:
-        path = self.config.out_dir / rel
+        path = self.staging / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         self.written.append(path)
         return path
@@ -197,17 +206,12 @@ def _collect_plot_rows(study: ReflectionStudy, report: BoundReport):
 
 def _bound_reports(study: ReflectionStudy, spec, cfg: RunConfig) -> dict[str, BoundReport]:
     """One subordinator's bound reports at one study's depth."""
-    common = dict(
-        n_times=cfg.n_times, t_min=cfg.t_min, flat_span=cfg.flat_span,
-        spread_threshold=cfg.spread_threshold, seed=cfg.seed,
-    )
+    common = dict(n_times=cfg.n_times, flat_span=cfg.flat_span, seed=cfg.seed)
     if spec.kind == "stable":
         return stable_comparison_reports(
             study, spec.alpha, bracket_tol=cfg.bracket_tol, **common
         )
-    return relativistic_comparison_reports(
-        study, spec.alpha, spec.m, domination_tol=cfg.domination_tol, **common
-    )
+    return relativistic_comparison_reports(study, spec.alpha, spec.m, **common)
 
 
 def _usable_cpus() -> int:
@@ -270,11 +274,7 @@ def _stage_verify(state: PipelineState) -> None:
     for k, spec in enumerate(cfg.subordinators):
         fine_reports, coarse_reports = reports[2 * k], reports[2 * k + 1]
         for name, rep in fine_reports.items():
-            stab = refinement_stability(coarse_reports[name], rep)
-            entry = rep.to_dict()
-            entry["stability"] = stab
-            entry["stability_pass"] = stab <= cfg.stability_threshold
-            entry["pass"] = bool(entry["pass"] and stab <= cfg.stability_threshold)
+            entry = claim_entry(coarse_reports[name], rep)
             all_reports[rep.claim] = entry
             state.claims[spec.label(), name] = entry
             passed &= entry["pass"]
@@ -325,8 +325,7 @@ def emit_plot_data(plot_rows: dict[str, list[tuple]], outdir: Path) -> list[Path
 
 
 def _stage_report(state: PipelineState) -> None:
-    cfg = state.config
-    plot_files = emit_plot_data(state.plot_rows, cfg.out_dir / "plots")
+    plot_files = emit_plot_data(state.plot_rows, state.staging / "plots")
     state.written.extend(plot_files)
     lines = [f"fractalheat run summary (version {__version__})"]
     for _, entry in sorted(state.claims.items()):
@@ -342,12 +341,15 @@ def _stage_report(state: PipelineState) -> None:
 def run_pipeline(
     config: RunConfig, last_stage: str = "report", cache: KernelCache | None = None
 ) -> RunManifest:
-    """Execute stages through ``last_stage``; on error remove partial outputs."""
+    """Execute stages through ``last_stage`` and move their outputs under
+    ``out_dir``; on error the outputs already there stay as they were."""
     if last_stage not in STAGES:
         raise ConfigError(f"unknown stage {last_stage!r}; expected one of {STAGES}")
     config.validate()
     cache = cache or KernelCache(directory=config.out_dir / "cache")
-    state = PipelineState(config=config, cache=cache)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=config.out_dir))
+    state = PipelineState(config=config, cache=cache, staging=staging)
     stage_fns = {
         "validate": _stage_validate,
         "labeling": _stage_labeling,
@@ -357,31 +359,30 @@ def run_pipeline(
         "report": _stage_report,
     }
     last_index = STAGES.index(last_stage)
-    # the manifest is written last, so one left on disk always matches it
-    manifest_path = config.out_dir / "manifest.json"
-    manifest_path.unlink(missing_ok=True)
     try:
         for stage in STAGES[: last_index + 1]:
             t0 = time.perf_counter()
             stage_fns[stage](state)
             state.timings[stage] = time.perf_counter() - t0
-    except Exception:
-        for path in state.written:
-            if path.exists():
-                path.unlink()
-        raise
-    inventory = {
-        str(p.relative_to(config.out_dir)): _sha256(p)
-        for p in sorted(set(state.written))
-        if p.exists()
-    }
-    manifest = RunManifest(
-        config_hash=_config_hash(config),
-        artifact_version=__version__,
-        timings={k: round(v, 6) for k, v in state.timings.items()},
-        inventory=inventory,
-        claims_passed=state.claims_passed,
-    )
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(manifest_path, manifest.to_dict())
+        inventory = {
+            str(p.relative_to(staging)): _sha256(p) for p in sorted(set(state.written))
+        }
+        manifest = RunManifest(
+            config_hash=_config_hash(config),
+            artifact_version=__version__,
+            timings={k: round(v, 6) for k, v in state.timings.items()},
+            inventory=inventory,
+            claims_passed=state.claims_passed,
+        )
+        _write_json(staging / "manifest.json", manifest.to_dict())
+        # the manifest goes last, so one left on disk always matches its files
+        manifest_path = config.out_dir / "manifest.json"
+        manifest_path.unlink(missing_ok=True)
+        for rel in inventory:
+            target = config.out_dir / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(staging / rel, target)
+        os.replace(staging / "manifest.json", manifest_path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return manifest

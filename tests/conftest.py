@@ -38,7 +38,6 @@ def report_settings(kind: str, **overrides) -> dict:
     """The settings a run passes to the ``kind`` ("stable" or
     "relativistic") bound-report function: the ``RunConfig`` defaults, with
     ``overrides``."""
-    tol = "bracket_tol" if kind == "stable" else "domination_tol"
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    names = ("n_times", "t_min", "flat_span", "spread_threshold", tol, "seed")
+    names = ("n_times", "flat_span", "seed") + (("bracket_tol",) if kind == "stable" else ())
     return {name: defaults[name] for name in names} | overrides

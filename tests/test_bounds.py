@@ -290,7 +290,7 @@ class TestRegimeReports:
     def test_match_two_pass_reference_exactly(self, gasket, cache, M, alpha, m, depth):
         study = ReflectionStudy.build(gasket, M=M, depth=depth, window=M + 1, cache=cache)
         reports = relativistic_comparison_reports(
-            study, alpha, m, **report_settings("relativistic", n_times=4, t_min=0.1, seed=3)
+            study, alpha, m, **report_settings("relativistic", n_times=4, seed=3)
         )
         expected, subsampled = _two_pass_regimes(
             study, alpha, m, 4, 0.1, bounds.FIT_PAIRS, 3

@@ -96,6 +96,8 @@ class TestFractalConfig:
             # values the file parses but the fractal system refuses
             ("L = 2", "L = 1", "scaling factor L must exceed 1, got 1"),
             ("dw = estimate\ndj = dw", "dw = 2\ndj = 1", "chemical exponent must exceed 1"),
+            # refused by the placeholder system of the walk-dimension estimate
+            ("dj = dw", "dj = 1", "chemical exponent must exceed 1"),
             ("translations = 0,0", "translations = 1/8,0", "first translation must be the origin"),
         ],
     )
@@ -178,7 +180,7 @@ class TestRunConfig:
         cfg = load_run_config(CONFIGS / "default-run.ini")
         assert cfg.M == 1 and cfg.n == 5 and cfg.window == 2
         assert len(cfg.subordinators) == 2
-        assert cfg.spread_threshold == 10.0
+        assert cfg.bracket_tol == 0.8
 
     def test_overrides(self, tmp_path):
         cfg = load_run_config(CONFIGS / "quick-run.ini", out_override=tmp_path / "o")
@@ -270,12 +272,30 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="subordinator"):
             load_run_config(run)
 
-    def test_threshold_validation(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section, key",
+        [("grids", "t_min"), ("thresholds", "spread"), ("thresholds", "stability"),
+         ("thresholds", "domination_tol")],
+    )
+    def test_claim_constants_are_not_settings(self, tmp_path, section, key):
+        # T_MIN and the claim thresholds are constants of fractalheat.bounds
         base = (CONFIGS / "quick-run.ini").read_text()
-        text = base.replace("spread = 10", "spread = 0.5").replace(
+        text = base.replace(f"[{section}]", f"[{section}]\n{key} = 0.5").replace(
             "fractal = gasket.ini", f"fractal = {CONFIGS / 'gasket.ini'}"
         )
         bad = tmp_path / "th.ini"
         bad.write_text(text)
-        with pytest.raises(ConfigError, match="threshold"):
+        with pytest.raises(ConfigError, match=f"unknown key {key} in \\[{section}\\]"):
             load_run_config(bad)
+
+    @pytest.mark.parametrize(
+        "specs", ["stable:0.5 ; stable:0.5", "stable:0.5 ; stable:0.5000001 ; relativistic:0.5,1"]
+    )
+    def test_repeated_subordinator_label_rejected(self, tmp_path, specs):
+        # labels format alpha with :g, so 0.5000001 reads stable(0.5) too;
+        # two such specs would write one table and one set of claims.  The
+        # fractal config is missing: the refusal comes before it is read
+        run = tmp_path / "run.ini"
+        run.write_text(f"[run]\nfractal = missing.ini\n[subordinators]\nspecs = {specs}\n")
+        with pytest.raises(ConfigError, match=r"share the label stable\(0\.5\)"):
+            load_run_config(run)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import fractalheat
-from fractalheat import kernels, pipeline
+from fractalheat import bounds, kernels, pipeline
 from fractalheat.bounds import PLOT_PAIRS, ReflectionStudy
 from fractalheat.cli import _BLAS_VARS
 from fractalheat.config import load_run_config
@@ -22,6 +23,7 @@ from fractalheat.kernels import KernelCache, KernelError
 from fractalheat.pipeline import emit_plot_data, run_pipeline
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def _quick_config(tmp_path, out_name="out", **overrides):
@@ -65,12 +67,13 @@ class TestPipeline:
             assert path.exists()
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    def test_summary_gives_the_verdict_of_bounds_json(self, tmp_path):
+    def test_summary_gives_the_verdict_of_bounds_json(self, tmp_path, monkeypatch):
         # a tight stability threshold fails claims whose spread passes
-        cfg = load_run_config(_quick_config(tmp_path, stability="0.02"))
+        monkeypatch.setattr(bounds, "STABILITY_THRESHOLD", 0.02)
+        cfg = load_run_config(_quick_config(tmp_path))
         assert not run_pipeline(cfg).claims_passed
         entries = json.loads((cfg.out_dir / "reports/bounds.json").read_text())
-        assert any(e["spread"] <= cfg.spread_threshold and not e["stability_pass"]
+        assert any(e["spread"] <= bounds.SPREAD_THRESHOLD and not e["stability_pass"]
                    for e in entries.values())
         lines = (cfg.out_dir / "reports/summary.txt").read_text().splitlines()[1:]
         status = {line.split("  ")[1].split(": ")[0]: line.split("  ")[0] for line in lines}
@@ -170,18 +173,22 @@ class TestPipeline:
                 checked += 1
         assert checked == (1 + len(cfg.subordinators)) * len(cfg.kernel_times) * cfg.table_pairs
 
-    def test_failed_run_leaves_no_manifest(self, tmp_path, monkeypatch):
+    def test_failed_rerun_keeps_the_last_good_outputs(self, tmp_path):
+        # the rerun fails in the verify stage, after it has written its
+        # tables and reports; the last good run's files and manifest stay
         cfg = load_run_config(_quick_config(tmp_path))
-        run_pipeline(cfg)
-        assert (cfg.out_dir / "manifest.json").exists()
-
-        def boom(state):
-            raise RuntimeError("injected stage failure")
-
-        monkeypatch.setattr(pipeline, "_stage_subordinate", boom)
-        with pytest.raises(RuntimeError, match="injected"):
-            run_pipeline(cfg)
-        assert not (cfg.out_dir / "manifest.json").exists()
+        first = run_pipeline(cfg)
+        manifest = (cfg.out_dir / "manifest.json").read_bytes()
+        rerun = load_run_config(_quick_config(tmp_path, bracket_tol="1e-6"))
+        with pytest.raises(KernelError, match="truncation bracket"):
+            run_pipeline(rerun)
+        for rel, digest in first.inventory.items():
+            assert hashlib.sha256((cfg.out_dir / rel).read_bytes()).hexdigest() == digest
+        assert (cfg.out_dir / "manifest.json").read_bytes() == manifest
+        # nothing of the failed run is left, staging directory included
+        assert sorted(p.name for p in cfg.out_dir.iterdir()) == [
+            "cache", "manifest.json", "plots", "reports", "tables"
+        ]
 
     def test_config_hash_covers_fractal_config(self, tmp_path):
         fractal = tmp_path / "gasket.ini"
@@ -194,6 +201,15 @@ class TestPipeline:
         after = run_pipeline(load_run_config(run_ini), last_stage="validate")
         assert before.inventory == after.inventory
         assert before.config_hash != after.config_hash
+
+    @pytest.mark.parametrize(
+        "name", ["T_MIN", "SPREAD_THRESHOLD", "STABILITY_THRESHOLD", "DOMINATION_TOL"]
+    )
+    def test_config_hash_covers_claim_constants(self, tmp_path, monkeypatch, name):
+        cfg = load_run_config(_quick_config(tmp_path))
+        before = pipeline._config_hash(cfg)
+        monkeypatch.setattr(bounds, name, getattr(bounds, name) * 1.5)
+        assert pipeline._config_hash(cfg) != before
 
 
 def _entries(cache_dir: Path) -> list[Path]:
@@ -338,6 +354,50 @@ class TestRunJobs:
         jobs = [lambda k=k: ran.append(k) or threading.get_ident() for k in range(3)]
         assert pipeline._run_jobs(jobs, [2, 1, 0]) == [threading.get_ident()] * 3
         assert ran == [0, 1, 2]
+
+
+class TestBenchmarkTracer:
+    """The benchmark's layer tracer patches names of the package by string;
+    a renamed or bypassed name would silently read zero."""
+
+    @staticmethod
+    def _layertrace(monkeypatch):
+        """perfbench/layertrace.py, read only: no bytecode is written next to it."""
+        spec = importlib.util.spec_from_file_location("layertrace", PERFBENCH / "layertrace.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "layertrace", module)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_probe_records_a_cold_quick_run(self, tmp_path, monkeypatch):
+        layertrace = self._layertrace(monkeypatch)
+        cfg = load_run_config(_quick_config(tmp_path))
+        tracer = layertrace.Tracer()
+        with layertrace.traced(tracer):
+            assert run_pipeline(cfg).claims_passed
+        # self times read wrong under the threaded verify stage (one span
+        # stack for all threads), so only calls and names are checked
+        calls = tracer.calls
+        claims = json.loads((cfg.out_dir / "reports/bounds.json").read_text())
+        assert all(calls[f"pipeline._stage_{stage}"] == 1 for stage in pipeline.STAGES)
+        assert calls["bounds.stable_comparison_reports"] == 2
+        assert calls["bounds.relativistic_comparison_reports"] == 2
+        assert calls["bounds.ReflectionStudy.truncation_bracket"] == 2
+        assert calls["pipeline._collect_plot_rows"] == len(claims)
+        assert calls["kernels.SpectralKernel.matrix"] > 0
+        assert calls["kernels.SpectralKernel.value"] > 0
+        assert calls["numpy.linalg.eigh"] > 0
+        # three kernels at each of two depths, each decomposed once
+        assert calls["decompose"] == 6
+        assert tracer.layer_metrics(1.0)["kernels.cache_misses"] == 6
+        assert {
+            "geometry.validate_snf", "geometry.build_vertex_graph",
+            "labeling.build_good_labeling", "kernels.spectral_decompose",
+            "kernels._dirichlet_kernel", "subordinate.crosscheck_subordination",
+            "bounds.ReflectionStudy.build",
+        } <= {span.name for span in tracer.spans}
+        assert pipeline.stable_comparison_reports is bounds.stable_comparison_reports
 
 
 class TestEmitPlotData:
@@ -486,7 +546,8 @@ class TestCli:
         assert "configuration error" in proc.stderr
 
     def test_claim_failure_exit_code(self, tmp_path):
-        cfg = _quick_config(tmp_path, spread="1.01")
+        # regime 3 of relativistic(0.5,3) spreads 13.65 at quick settings
+        cfg = _quick_config(tmp_path, specs="relativistic:0.5,3")
         proc = self._run(
             "verify-bounds", "--config", str(cfg), "--out", str(tmp_path / "f")
         )
