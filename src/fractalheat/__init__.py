@@ -35,7 +35,6 @@ _EXPORTS = {
         "rotation_group",
     ),
     "kernels": (
-        "Generator",
         "KernelCache",
         "KernelError",
         "ScalingCheck",

@@ -52,6 +52,7 @@ DOMINATION_TOL = 1e-8  # largest passing free - folded kernel difference
 BRACKET_PAIRS = 150  # seeded interior pairs of the truncation bracket
 FIT_PAIRS = 60000  # seeded fit draws of a regime report, over all its times
 DECAY_CONSTANT_CAP = 100.0  # the minimax decay constant is sought on [0, cap]
+SANDWICH_GRID = 41  # s and r values of the sandwich check's grid, each
 
 
 class BoundError(ValueError):
@@ -752,12 +753,11 @@ def sandwich_check_f(
     c2: float,
     c3: float,
     M: int,
-    n_s: int = 41,
-    n_r: int = 41,
 ) -> SandwichReport:
     """Verify the time-window sandwich for the sub-Gaussian shape.
 
-    Over ``s in [c1, c2] * L^(M d_w)`` and ``r in [0, L^M]`` the quantity
+    Over ``SANDWICH_GRID`` values each of ``s in [c1, c2] * L^(M d_w)`` and
+    ``r in [0, L^M]`` the quantity
     ``f_c3(s, r) * L^(M d)`` lies between
     ``c2^(-d/d_w) * exp(-c3 * c1^(-1/(d_J - 1)))`` and ``c1^(-d/d_w)``:
     the prefactor and exponential factor are each minimized separately at
@@ -775,8 +775,8 @@ def sandwich_check_f(
     upper = c1 ** (-d / d_w)
     exp_floor = math.exp(-c3 * c1 ** (-1.0 / (d_J - 1.0)))
     lower = c2 ** (-d / d_w) * exp_floor
-    s_grid = np.linspace(c1 * lmdw, c2 * lmdw, n_s)
-    r_grid = np.linspace(0.0, lf**M, n_r)
+    s_grid = np.linspace(c1 * lmdw, c2 * lmdw, SANDWICH_GRID)
+    r_grid = np.linspace(0.0, lf**M, SANDWICH_GRID)
     ss, rr = np.meshgrid(s_grid, r_grid, indexing="ij")
     vals = form.evaluate(ss, rr) * lmd
     upper_eq = abs(form.evaluate(c1 * lmdw, 0.0) * lmd - upper)

@@ -40,6 +40,7 @@ import os
 import threading
 import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -71,20 +72,11 @@ class KernelError(RuntimeError):
     pass
 
 
-@dataclass
-class Generator:
-    """Continuous-time walk generator on a vertex graph, held as its
-    nonzeros: ``matrix`` is an n x n :class:`Csr`, one rate per edge
-    direction and a diagonal that makes each row sum to 0."""
-
-    graph: VertexGraph
-    rate_scale: float
-    matrix: Csr
-
-
-def build_generator(graph: VertexGraph) -> Generator:
-    """Edge-uniform jump rates scaled by ``L^(d_w * depth)``, symmetrized
-    against the vertex measure (detailed balance holds exactly)."""
+def build_generator(graph: VertexGraph) -> Csr:
+    """The walk generator as an n x n :class:`Csr` of its nonzeros: one rate
+    per edge direction, edge-uniform and scaled by ``L^(d_w * depth)``, and
+    a diagonal that makes each row sum to 0; symmetrized against the vertex
+    measure (detailed balance holds exactly)."""
     if not graph.is_connected():
         raise KernelError("generator requires a connected graph")
     lam = float(graph.system.L) ** (graph.system.walk_dim * graph.depth)
@@ -96,8 +88,7 @@ def build_generator(graph: VertexGraph) -> Generator:
     # the rates out of a vertex are equal, and up to 4 equal terms (the
     # gasket's degree) sum to the same bits in any order, as in a dense sum
     data = np.r_[rates, -np.bincount(rows, rates, minlength=n)]
-    q = Csr.from_coo(np.r_[rows, diag], np.r_[cols, diag], data, n)
-    return Generator(graph=graph, rate_scale=lam, matrix=q)
+    return Csr.from_coo(np.r_[rows, diag], np.r_[cols, diag], data, n)
 
 
 @dataclass
@@ -105,18 +96,22 @@ class SpectralKernel:
     """Eigendecomposition of a generator; evaluates any spectral function.
 
     ``g(t,x,y) = sum_k w_k(t) phi_k(x) phi_k(y)`` with ``phi_k`` orthonormal
-    in L^2(measure) and weights ``w_k = exp(-t lambda_k)`` for the heat
-    kernel or ``exp(-t phi(lambda_k))`` after subordination.
+    in L^2 of the graph's measure and weights ``w_k = exp(-t lambda_k)`` for
+    the heat kernel or ``exp(-t phi(lambda_k))`` after subordination.
     """
 
     graph: VertexGraph
-    eigenvalues: np.ndarray  # ascending, eigenvalues[0] == 0 for conservative
+    eigenvalues: np.ndarray  # ascending
     psi: np.ndarray  # counting-measure orthonormal eigenvectors (columns)
-    mu: np.ndarray
-    conservative: bool = True
 
     def __post_init__(self):
+        self.mu = self.graph.measure
         self.sqrt_mu = np.sqrt(self.mu)
+
+    @property
+    def conservative(self) -> bool:
+        """Reflected, not killed: only ``spectral_decompose`` gives a rate 0."""
+        return bool(self.eigenvalues[0] == 0.0)
 
     @property
     def n(self) -> int:
@@ -397,12 +392,12 @@ def _isotypic_bases(perms, reps):
     return [basis for basis in zip(sizes, cols, vals) if basis[0]]
 
 
-def spectral_decompose(gen: Generator) -> SpectralKernel:
-    """Full symmetric eigendecomposition of a conservative generator."""
-    graph = gen.graph
-    mu = graph.measure
+def spectral_decompose(graph: VertexGraph) -> SpectralKernel:
+    """Full symmetric eigendecomposition of the conservative generator of
+    ``graph``."""
+    mu, corners = graph.measure, graph.system.corners(graph.M)
     lam, psi = _symmetric_eigh(
-        gen.matrix, mu, graph.lattice, graph.lattice_denom, graph.system.corners(graph.M)
+        build_generator(graph), mu, graph.lattice, graph.lattice_denom, corners
     )
     scale = max(abs(float(lam[0])), abs(float(lam[-1])), 1.0)
     if abs(lam[0]) > 1e-8 * scale:
@@ -420,9 +415,7 @@ def spectral_decompose(gen: Generator) -> SpectralKernel:
         hi = lo + _BAND
         psi[:, lo:hi] -= np.outer(zero, overlap[lo - 1 : hi - 1])
     np.clip(lam, 0.0, None, out=lam)
-    return SpectralKernel(
-        graph=gen.graph, eigenvalues=lam, psi=psi, mu=mu, conservative=True
-    )
+    return SpectralKernel(graph, lam, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +430,16 @@ class KernelCache:
 
     def __init__(self, directory=None):
         self._memory: dict[str, SpectralKernel] = {}
-        self._graphs: dict[str, VertexGraph] = {}
+        self._graphs: dict[tuple[str, int, int], VertexGraph] = {}
         self._lock = threading.Lock()
-        self.directory = directory
+        self.directory = None if directory is None else Path(directory)
 
     def _key(self, system: FractalSystem, M: int, depth: int, bc: str) -> str:
         text = f"{system.fingerprint()}|M={M}|n={depth}|bc={bc}|v3"
         return hashlib.sha256(text.encode()).hexdigest()
 
     def graph(self, system: FractalSystem, M: int, depth: int) -> VertexGraph:
-        key = self._key(system, M, depth, "graph")
+        key = (system.fingerprint(), M, depth)
         if key not in self._graphs:
             self._graphs[key] = build_vertex_graph(system, M, depth)
         return self._graphs[key]
@@ -459,32 +452,25 @@ class KernelCache:
             if key in self._memory:
                 return self._memory[key]
             graph = self.graph(system, M, depth)
-            kern = self._load(key)
-            if kern is None or kern.n != graph.n_vertices:
+            kern = self._load(key, graph)
+            if kern is None:
                 if bc == "neumann":
-                    kern = spectral_decompose(build_generator(graph))
+                    kern = spectral_decompose(graph)
                 elif bc == "dirichlet":
                     kern = _dirichlet_kernel(graph)
                 else:
                     raise KernelError(f"unknown boundary condition {bc!r}")
                 self._store(key, kern)
-            kern.graph = graph
             self._memory[key] = kern
             return kern
 
-    def _path(self, key: str):
-        if self.directory is None:
-            return None
-        from pathlib import Path
+    def _path(self, key: str) -> Path | None:
+        return None if self.directory is None else self.directory / f"eig-{key}.npz"
 
-        d = Path(self.directory)
-        d.mkdir(parents=True, exist_ok=True)
-        return d / f"eig-{key}.npz"
-
-    def _load(self, key: str) -> SpectralKernel | None:
-        """The stored entry for ``key``; None (a miss) when there is none or
-        it is unreadable, was written for another key, or has shapes that
-        disagree."""
+    def _load(self, key: str, graph: VertexGraph) -> SpectralKernel | None:
+        """The stored kernel of ``graph`` for ``key``; None (a miss) when
+        there is no entry or it is unreadable, was written for another key,
+        or has shapes that disagree with the graph."""
         path = self._path(key)
         if path is None or not path.exists():
             return None
@@ -493,19 +479,11 @@ class KernelCache:
                 stored_key = str(data["key"])
                 eigenvalues = data["eigenvalues"]
                 psi = data["psi"]
-                mu = data["mu"]
-                conservative = bool(data["conservative"])
         except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
             return None
-        if stored_key != key or psi.shape != (len(mu), len(eigenvalues)):
+        if stored_key != key or psi.shape != (graph.n_vertices, len(eigenvalues)):
             return None
-        return SpectralKernel(
-            graph=None,  # re-attached by caller
-            eigenvalues=eigenvalues,
-            psi=psi,
-            mu=mu,
-            conservative=conservative,
-        )
+        return SpectralKernel(graph, eigenvalues, psi)
 
     def _store(self, key: str, kern: SpectralKernel) -> None:
         """Write the entry uncompressed (deflate costs far more time than the
@@ -516,6 +494,7 @@ class KernelCache:
         path = self._path(key)
         if path is None:
             return
+        self.directory.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".eig-{key}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             with open(tmp, "wb") as fh:
@@ -524,8 +503,6 @@ class KernelCache:
                     key=np.str_(key),
                     eigenvalues=kern.eigenvalues,
                     psi=kern.psi,
-                    mu=kern.mu,
-                    conservative=np.bool_(kern.conservative),
                 )
             os.replace(tmp, path)
         except BaseException:
@@ -537,11 +514,10 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
     """Kernel of the walk killed at the global corners of ``K<<M>>``, over
     every vertex of ``graph``: the eigenvectors vanish at the corners, so
     the kernel is 0 wherever a corner is one of the pair."""
-    gen = build_generator(graph)
     keep = np.ones(graph.n_vertices, dtype=bool)
     keep[graph.corner_indices()] = False
     lam, psi = _symmetric_eigh(
-        gen.matrix.restrict(keep),
+        build_generator(graph).restrict(keep),
         graph.measure[keep],
         graph.lattice[keep],
         graph.lattice_denom,
@@ -553,9 +529,7 @@ def _dirichlet_kernel(graph: VertexGraph) -> SpectralKernel:
         raise KernelError(
             f"killed generator must have positive rates, got smallest {lam[0]:.3e}"
         )
-    return SpectralKernel(
-        graph=graph, eigenvalues=lam, psi=psi, mu=graph.measure, conservative=False
-    )
+    return SpectralKernel(graph, lam, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ bytes, whether the eigen cache was cold or warm and whatever the core count:
 the verify stage runs its report jobs on threads, but each job computes the
 same bytes on any thread.  The stages write into a staging directory, and
 the files move into place only once the last stage has run, so a failed run
-leaves the outputs of the last finished run as they were.
+leaves the outputs of the last finished run as they were; a later run removes
+the staging directory of a process that was killed.
 """
 
 from __future__ import annotations
@@ -338,6 +339,19 @@ def _stage_report(state: PipelineState) -> None:
     summary.write_text("\n".join(lines) + "\n")
 
 
+def _remove_dead_staging(out_dir: Path) -> None:
+    """Remove every ``.staging-<pid>-*`` directory of ``out_dir`` whose
+    process is gone, as a run killed before its cleanup leaves one; one
+    whose process is alive, or whose name carries no pid, stays."""
+    for path in out_dir.glob(".staging-*-*"):
+        try:
+            os.kill(int(path.name.split("-")[1]), 0)
+        except ProcessLookupError:
+            shutil.rmtree(path, ignore_errors=True)
+        except (ValueError, OverflowError, OSError):  # no pid, or alive as another user
+            pass
+
+
 def run_pipeline(
     config: RunConfig, last_stage: str = "report", cache: KernelCache | None = None
 ) -> RunManifest:
@@ -348,7 +362,8 @@ def run_pipeline(
     config.validate()
     cache = cache or KernelCache(directory=config.out_dir / "cache")
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=config.out_dir))
+    _remove_dead_staging(config.out_dir)
+    staging = Path(tempfile.mkdtemp(prefix=f".staging-{os.getpid()}-", dir=config.out_dir))
     state = PipelineState(config=config, cache=cache, staging=staging)
     stage_fns = {
         "validate": _stage_validate,

@@ -23,9 +23,11 @@ a eps - a(0) eps reaches 1 (past the peak of the integrand) and 40 (past
 which it is below rounding).  Two fixed Gauss-Legendre panels integrate it,
 64 nodes from 0 to the first angle and 32 from there to the second, where
 the integrand only decays; each is evaluated in place in one work array.
+The factor x^(-1/(1-alpha)) goes into the integrand's exponent, so the
+integral is never a subnormal float where the density is a normal one.
 Against 256-node panels, from the underflow edge to the series switch and
-wherever the integral is a normal float, the largest relative error is
-1.3e-13 at alpha = 1/2, at most 6.5e-12 for alpha in [0.05, 0.99] and
+wherever the density is a normal float, the largest relative error is
+1.7e-13 at alpha = 1/2, at most 9.1e-12 for alpha in [0.05, 0.99] and
 4.3e-10 at alpha = 0.02, as with 64 nodes on both panels.  Where
 ``eps < 0.2`` the peak is a thin layer next to pi and the convergent
 large-argument series takes over.  The transform check and the
@@ -41,6 +43,7 @@ independent reference.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -194,8 +197,8 @@ def _solve_log_a(alpha: float, target: np.ndarray) -> np.ndarray:
     raise SubordinatorError("Kanter panel search did not converge")  # pragma: no cover
 
 
-def _kanter_panel(alpha: float, log_eps, lo, hi, gl_nodes, gl_weights, near_pi: bool):
-    """Each point's sum of ``w a(theta) exp(-a(theta) eps)`` over its own
+def _kanter_panel(alpha: float, log_eps, log_c, lo, hi, gl_nodes, gl_weights, near_pi: bool):
+    """Each point's sum of ``w c a(theta) exp(-a(theta) eps)`` over its own
     Gauss-Legendre panel [lo, hi] (``gl_nodes`` and ``gl_weights`` on
     [0, 1]), in theta, or with ``near_pi`` in d = pi - theta.  The integrand
     is evaluated in place in one work array of three (points x nodes) planes:
@@ -221,10 +224,11 @@ def _kanter_panel(alpha: float, log_eps, lo, hi, gl_nodes, gl_weights, near_pi: 
     theta *= alpha / one
     la += theta
     la -= tmp
-    # la is log a(theta); the integrand is exp(la - exp(la + log eps)) w
+    # la is log a(theta); the integrand is exp(la - exp(la + log eps) + log c) w
     np.add(la, log_eps[:, None], out=tmp)
     np.exp(tmp, out=tmp)
     np.subtract(la, tmp, out=tmp)
+    tmp += log_c[:, None]
     np.exp(tmp, out=tmp)
     tmp *= np.multiply(width, gl_weights, out=node)
     return tmp.sum(axis=1)
@@ -242,17 +246,18 @@ def _kanter_density(alpha: float, x: np.ndarray) -> np.ndarray:
     """
     one = 1.0 - alpha
     ratio = alpha / one
-    log_eps = -ratio * np.log(x)
+    log_x = np.log(x)
+    log_eps = -ratio * log_x
+    log_c = -log_x / one  # log x^(-1/(1-alpha))
     a0 = one * alpha**ratio
     inv_eps = np.exp(-log_eps)
     targets = np.log(a0 + np.concatenate([inv_eps, _PANEL_DEPTH * inv_eps]))
     d = np.exp(-_solve_log_a(alpha, targets))
     d_split, d_edge = d[: x.size], d[x.size :]
-    total = _kanter_panel(
-        alpha, log_eps, np.zeros_like(x), math.pi - d_split, _GL_NODES, _GL_WEIGHTS, False
-    )
-    total += _kanter_panel(alpha, log_eps, d_edge, d_split, _GL32_NODES, _GL32_WEIGHTS, True)
-    return ratio / math.pi * x ** (-1.0 / one) * total
+    panel = functools.partial(_kanter_panel, alpha, log_eps, log_c)
+    total = panel(np.zeros_like(x), math.pi - d_split, _GL_NODES, _GL_WEIGHTS, False)
+    total += panel(d_edge, d_split, _GL32_NODES, _GL32_WEIGHTS, True)
+    return ratio / math.pi * total
 
 
 def stable_tail_series(alpha: float, x, terms: int | None = None):

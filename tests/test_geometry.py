@@ -102,6 +102,46 @@ class TestValidation:
         assert not nesting.passed
         assert "witness" in nesting.detail
 
+    @pytest.mark.parametrize(
+        "kind, detail",
+        [
+            ("overlapping", "cells 1,2: vertex intersection differs, witness (1/4, 0)"),
+            ("sliding", "cells 1,2: boundary segment shared, witness (1/2, 51/200)"),
+            ("touching", "cells 1,2: non-corner contact, witness (5/12, 1/12*sqrt3)"),
+        ],
+    )
+    def test_each_nesting_check_names_its_failure(self, gasket, kind, detail):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        systems = {
+            # [0, 1/2] and [1/4, 3/4] share vertices that are corners of neither
+            "overlapping": (
+                [Vec2.ZERO, Vec2.of(quarter, 0), Vec2.of(half, 0)],
+                [Vec2.of(0, 0), Vec2.of(1, 0)],
+            ),
+            # the second square slides 1/100 up the first one's right edge,
+            # so the edges overlap with no vertex in common
+            "sliding": (
+                [Vec2.ZERO, Vec2.of(half, Fraction(1, 100)), Vec2.of(0, half),
+                 Vec2.of(half, half)],
+                [Vec2.of(0, 0), Vec2.of(1, 0), Vec2.of(0, 1), Vec2.of(1, 1)],
+            ),
+            # the second triangle's corner sits a third of the way up the
+            # first one's right edge
+            "touching": (
+                [Vec2.ZERO, Vec2(Q3.of(Fraction(5, 12)), Q3.of(0, Fraction(1, 12))),
+                 Vec2(Q3.of(quarter), Q3.of(0, quarter))],
+                list(gasket.essential_vertices),
+            ),
+        }
+        translations, corners = systems[kind]
+        broken = build_system(
+            kind, 2, translations, walk_dim=2.0, chemical_exp=2.0,
+            osc_attested=True, essential_override=corners,
+        )
+        nesting = validate_snf(broken).result("nesting")
+        assert not nesting.passed
+        assert nesting.detail == detail
+
     def test_separated_translation_fails_connectivity_or_symmetry(self, gasket):
         translations = [
             Vec2.ZERO,

@@ -10,6 +10,7 @@ from fractalheat import (
     LabelingError,
     build_good_labeling,
     build_vertex_graph,
+    labeling,
     rotation_group,
 )
 from fractalheat.exact import Vec2
@@ -74,6 +75,16 @@ class TestGoodLabeling:
     def test_window_must_exceed_m(self, gasket):
         with pytest.raises(LabelingError):
             build_good_labeling(gasket, 1, 1)
+
+    def test_no_consistent_rotation_names_the_complex(self, gasket, monkeypatch):
+        # with the identity alone, the base complex labels the corner it
+        # shares with complex (1,) as 1, and the identity there asks for 0
+        group = rotation_group(gasket, 0)
+        identity = dataclasses.replace(group, elements=group.elements[:1])
+        assert identity.elements[0].is_identity()
+        monkeypatch.setattr(labeling, "rotation_group", lambda system, M: identity)
+        with pytest.raises(LabelingError, match=r"no consistent rotation for complex \(1,\)"):
+            build_good_labeling(gasket, 0, 1)
 
     def test_interval_labeling(self, interval):
         lm = build_good_labeling(interval, 0, 2)

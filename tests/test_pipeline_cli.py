@@ -190,6 +190,30 @@ class TestPipeline:
             "cache", "manifest.json", "plots", "reports", "tables"
         ]
 
+    def test_staging_of_a_killed_run_is_removed(self, tmp_path):
+        # staging directories left by runs killed before their cleanup:
+        # one whose process has exited goes; one whose process is alive, and
+        # one whose name carries no pid, stay
+        cfg = load_run_config(_quick_config(tmp_path))
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        exited.wait(timeout=60)
+        alive = subprocess.Popen([sys.executable, "-c", "input()"], stdin=subprocess.PIPE)
+        try:
+            dead = cfg.out_dir / f".staging-{exited.pid}-abc"
+            live = cfg.out_dir / f".staging-{alive.pid}-def"
+            unnamed = cfg.out_dir / ".staging-ghi"
+            for path in (dead, live, unnamed):
+                (path / "reports").mkdir(parents=True)
+                (path / "reports/bounds.json").write_text("{}")
+            run_pipeline(cfg, last_stage="validate")
+            assert alive.poll() is None
+        finally:
+            alive.kill()
+            alive.wait(timeout=60)
+        assert not dead.exists()
+        assert live.is_dir() and unnamed.is_dir()
+        assert not list(cfg.out_dir.glob(f".staging-{os.getpid()}-*"))
+
     def test_config_hash_covers_fractal_config(self, tmp_path):
         fractal = tmp_path / "gasket.ini"
         fractal.write_text((CONFIGS / "gasket.ini").read_text())
@@ -221,6 +245,19 @@ def _warm_rerun(cache_dir: Path, out: Path):
     return run_pipeline(warm, cache=KernelCache(directory=cache_dir))
 
 
+def _load_entry(cache_dir: Path, key: str, cfg):
+    """The entry ``key`` of a quick run's cache, loaded against its graph."""
+    cache = KernelCache(directory=cache_dir)
+    graph = next(
+        cache.graph(cfg.system, M, depth)
+        for M in (cfg.M, cfg.window)
+        for depth in (cfg.n, cfg.n - 1)
+        for bc in ("neumann", "dirichlet")
+        if cache._key(cfg.system, M, depth, bc) == key
+    )
+    return cache._load(key, graph)
+
+
 class TestEigenCache:
     def test_cold_run_leaves_only_stored_entries(self, quick_run):
         cfg, _ = quick_run
@@ -238,10 +275,10 @@ class TestEigenCache:
         key = victim.stem.removeprefix("eig-")
         data = victim.read_bytes()
         victim.write_bytes(data[: len(data) // 2])
-        assert KernelCache(directory=cache_dir)._load(key) is None
+        assert _load_entry(cache_dir, key, cfg) is None
         warm = _warm_rerun(cache_dir, tmp_path / "warm")
         assert warm.inventory == cold.inventory
-        assert KernelCache(directory=cache_dir)._load(key) is not None
+        assert _load_entry(cache_dir, key, cfg) is not None
 
     def test_entry_for_another_key_is_a_miss(self, quick_run, tmp_path):
         cfg, cold = quick_run
@@ -250,10 +287,10 @@ class TestEigenCache:
         source, target = _entries(cache_dir)[:2]
         key = target.stem.removeprefix("eig-")
         target.write_bytes(source.read_bytes())
-        assert KernelCache(directory=cache_dir)._load(key) is None
+        assert _load_entry(cache_dir, key, cfg) is None
         warm = _warm_rerun(cache_dir, tmp_path / "warm")
         assert warm.inventory == cold.inventory
-        assert KernelCache(directory=cache_dir)._load(key) is not None
+        assert _load_entry(cache_dir, key, cfg) is not None
 
     @staticmethod
     def _count_decompositions(monkeypatch):
@@ -286,7 +323,7 @@ class TestEigenCache:
         cache = KernelCache(directory=tmp_path)
         kern = KernelCache().kernel(gasket, 0, 2, "dirichlet")
         keep = np.setdiff1d(np.arange(kern.n), kern.graph.corner_indices())
-        short = dataclasses.replace(kern, psi=kern.psi[keep], mu=kern.mu[keep])
+        short = dataclasses.replace(kern, psi=kern.psi[keep])
         cache._store(cache._key(gasket, 0, 2, "dirichlet"), short)
         decomposed = self._count_decompositions(monkeypatch)
         rebuilt = KernelCache(directory=tmp_path).kernel(gasket, 0, 2, "dirichlet")
@@ -295,6 +332,29 @@ class TestEigenCache:
         KernelCache(directory=tmp_path).kernel(gasket, 0, 2, "dirichlet")
         assert len(decomposed) == 1
 
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_entry_with_a_stored_measure_and_flag_loads(
+        self, gasket, tmp_path, monkeypatch, bc
+    ):
+        # entries of key version v3 once also held the measure and the
+        # conservative flag; a load ignores both
+        kern = KernelCache().kernel(gasket, 0, 2, bc)
+        cache = KernelCache(directory=tmp_path)
+        key = cache._key(gasket, 0, 2, bc)
+        np.savez(
+            tmp_path / f"eig-{key}.npz",
+            key=np.str_(key),
+            eigenvalues=kern.eigenvalues,
+            psi=kern.psi,
+            mu=kern.mu,
+            conservative=np.bool_(kern.conservative),
+        )
+        decomposed = self._count_decompositions(monkeypatch)
+        loaded = cache.kernel(gasket, 0, 2, bc)
+        assert decomposed == []
+        assert np.array_equal(loaded.eigenvalues, kern.eigenvalues)
+        assert np.array_equal(loaded.psi, kern.psi)
+        assert loaded.conservative == (bc == "neumann")
 
     def test_two_threads_get_one_decomposition(self, gasket, tmp_path, monkeypatch):
         # both threads ask for one key of an empty directory cache at once
@@ -302,7 +362,7 @@ class TestEigenCache:
         decompose = kernels.spectral_decompose
         # a slow decomposition, so the second thread asks while it runs
         monkeypatch.setattr(
-            kernels, "spectral_decompose", lambda gen: time.sleep(0.2) or decompose(gen)
+            kernels, "spectral_decompose", lambda graph: time.sleep(0.2) or decompose(graph)
         )
         cache = KernelCache(directory=tmp_path)
         start = threading.Barrier(2)
@@ -321,7 +381,7 @@ class TestEigenCache:
         assert len(got) == 2 and got[0] is got[1]
         key = cache._key(gasket, 1, 2, "neumann")
         assert sorted(tmp_path.iterdir()) == [tmp_path / f"eig-{key}.npz"]
-        stored = KernelCache(directory=tmp_path)._load(key)
+        stored = KernelCache(directory=tmp_path)._load(key, cache.graph(gasket, 1, 2))
         assert np.array_equal(stored.psi, got[0].psi)
         assert np.array_equal(stored.eigenvalues, got[0].eigenvalues)
 
@@ -356,22 +416,23 @@ class TestRunJobs:
         assert ran == [0, 1, 2]
 
 
+def _perfbench(monkeypatch, name: str):
+    """The benchmark module perfbench/``name``.py, read only: no bytecode is
+    written next to it."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkTracer:
     """The benchmark's layer tracer patches names of the package by string;
     a renamed or bypassed name would silently read zero."""
 
-    @staticmethod
-    def _layertrace(monkeypatch):
-        """perfbench/layertrace.py, read only: no bytecode is written next to it."""
-        spec = importlib.util.spec_from_file_location("layertrace", PERFBENCH / "layertrace.py")
-        module = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, "layertrace", module)
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        spec.loader.exec_module(module)
-        return module
-
     def test_every_probe_records_a_cold_quick_run(self, tmp_path, monkeypatch):
-        layertrace = self._layertrace(monkeypatch)
+        layertrace = _perfbench(monkeypatch, "layertrace")
         cfg = load_run_config(_quick_config(tmp_path))
         tracer = layertrace.Tracer()
         with layertrace.traced(tracer):
@@ -398,6 +459,28 @@ class TestBenchmarkTracer:
             "bounds.ReflectionStudy.build",
         } <= {span.name for span in tracer.spans}
         assert pipeline.stable_comparison_reports is bounds.stable_comparison_reports
+
+
+class TestBenchmarkChecks:
+    """The checks behind the benchmark's failed count read the eigen-cache
+    files and the kernels' eigenvectors, so a change to either would count
+    every benchmark operation as failed."""
+
+    def test_a_cold_and_a_warm_quick_run_pass(self, quick_run, tmp_path, monkeypatch):
+        checks = _perfbench(monkeypatch, "checks")
+        cold_cfg, cold = quick_run
+        cache_dir = cold_cfg.out_dir / "cache"
+        warm_cfg = load_run_config(_quick_config(tmp_path, "warm"))
+        warm = run_pipeline(warm_cfg, cache=KernelCache(directory=cache_dir))
+        for cfg, manifest, cache_files in ((cold_cfg, cold, 6), (warm_cfg, warm, None)):
+            cache = KernelCache(directory=cache_dir)
+            kerns = {
+                f"M={M},n={depth},{bc}": cache.kernel(cfg.system, M, depth, bc)
+                for depth in (cfg.n, cfg.n - 1)
+                for M, bc in ((cfg.M, "neumann"), (cfg.window, "neumann"),
+                              (cfg.window, "dirichlet"))
+            }
+            assert checks.check_report(cfg.out_dir, manifest, cfg, kerns, cache_files) == []
 
 
 class TestEmitPlotData:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,10 +94,9 @@ class TestQuadratureEquivalence:
     def test_constant_kernel_returns_constant(self):
         c = 0.37
         kern = SpectralKernel(
-            graph=None,
+            graph=SimpleNamespace(measure=np.array([1.0 / c])),
             eigenvalues=np.array([0.0]),
             psi=np.array([[1.0]]),
-            mu=np.array([1.0 / c]),
         )
         res = subordinate_quadrature(kern, STABLE, 1.0, 0, 0)
         assert isinstance(res, float)

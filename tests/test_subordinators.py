@@ -155,6 +155,29 @@ class TestStableDensity:
         assert normal.sum() >= 398
         assert stable_density_unit(0.5, x[normal]) == pytest.approx(closed[normal], rel=1e-12)
 
+    @pytest.mark.parametrize("alpha, x", [(0.05, 6.4e-57), (0.1, 6.6e-28)])
+    def test_underflow_edge_keeps_its_digits(self, alpha, x):
+        # the densities are normal floats (1.0e-263 and 6.7e-290), but the
+        # integral without the factor x^(-1/(1-alpha)) is subnormal; the
+        # reference takes the factor into the exponent of the integrand,
+        # and agrees with a 40-digit quadrature to 5e-13
+        one = 1.0 - alpha
+        ratio = alpha / one
+        log_eps, log_scale = -ratio * math.log(x), -math.log(x) / one
+
+        def integrand(theta):
+            la = (
+                math.log(math.sin(one * theta))
+                + ratio * math.log(math.sin(alpha * theta))
+                - math.log(math.sin(theta)) / one
+            )
+            y = la + log_eps
+            return 0.0 if y > 700.0 else math.exp(la - math.exp(y) + log_scale)
+
+        integral, _ = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
+        ref = ratio / math.pi * integral
+        assert abs(stable_density_unit(alpha, x) - ref) <= 1e-11 * ref
+
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
     def test_matches_scalar_quadrature_route(self, alpha):
         x = np.logspace(-2, 6, 200)
